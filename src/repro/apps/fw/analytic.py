@@ -1,6 +1,6 @@
-"""Analytic (DES-free) replay of the distributed-FW simulation.
+"""Closed-form folds of the distributed-FW schedule (the fast path).
 
-The FW schedule of :func:`repro.apps.fw.simulate.simulate_fw` is
+The FW schedule of :func:`repro.apps.fw.simulate.fw_schedule` is
 *structurally* conflict-free: each phase's broadcast serialises on the
 owner's egress links in spawn-order waves, every other resource (CPU
 lane, DMA channel, FPGA) is used serially by its own node's process,
@@ -9,7 +9,10 @@ for a strictly positive time between broadcasts.  The makespan is
 therefore a pure fold over phases, and :func:`analytic_fw` evaluates
 exactly the float arithmetic the DES would -- same operations, same
 order, including the ``end - start`` busy-time accounting -- so every
-field of the returned :class:`FwSimResult` is bitwise identical.
+field of the returned :class:`FwSimResult` is bitwise identical.  The
+op streams are the reference: ``Replay`` over ``fw_schedule`` gives the
+same results at over ten times the cost, so the fold stays the fast
+path and the tests hold it to the streams.
 
 :func:`analytic_fw_batch` vectorises the fold over a whole
 ``(l1, l2)`` split grid (the Figure 7 sweep) in one NumPy pass with
@@ -24,8 +27,7 @@ from typing import Optional, Sequence
 from ...hw.fw_design import FloydWarshallDesign
 from ...machine.system import MachineSpec
 from ...sim.analytic import FastPathUnsupported
-from .layout import ColumnBlockLayout
-from .simulate import FwSimConfig, FwSimResult
+from .simulate import FwSimConfig, FwSimResult, _fw_layout, _iterations_run
 
 __all__ = ["analytic_fw", "analytic_fw_batch"]
 
@@ -33,19 +35,14 @@ __all__ = ["analytic_fw", "analytic_fw_batch"]
 def _fw_params(spec: MachineSpec, config: FwSimConfig, design):
     if design is None:
         design = FloydWarshallDesign.for_device(spec.node.fpga.device, k=config.k)
-    layout = ColumnBlockLayout(config.nb, spec.p)
-    if config.ops_per_phase != layout.cols_per_node:
-        raise ValueError(
-            f"l1 + l2 = {config.ops_per_phase} must equal the per-node "
-            f"per-phase operation count n/(bp) = {layout.cols_per_node}"
-        )
+    layout = _fw_layout(spec.p, config)
     net = spec.network
     block_bytes = config.b * config.b * 8
     svc = net.latency + block_bytes / net.bandwidth
     op_cycles = design.tile_cycles(config.b)
     op_flops = 2.0 * float(config.b) ** 3
     freq = design.freq_hz
-    b_d = min(8.0 * freq, spec.node.fpga.dram_link_bandwidth)
+    b_d = spec.node.fpga.effective_dram_bandwidth(freq)
     rate = spec.node.processor.sustained_flops(config.cpu_kernel)
     if svc <= 0.0 or op_cycles <= 0 or rate <= 0.0:
         raise FastPathUnsupported(
@@ -69,7 +66,7 @@ def analytic_fw(
     stage_bytes = 2 * block_bytes
     stage_svc = 0.0 + stage_bytes / b_d
     L = spec.network.links_per_node
-    n_iters = nb if config.iterations is None else min(config.iterations, nb)
+    n_iters = _iterations_run(config)
 
     t = [0.0] * p
     cpu_busy = [0.0] * p
@@ -194,7 +191,7 @@ def analytic_fw_batch(
     stage_bytes = 2 * block_bytes
     stage_svc = 0.0 + stage_bytes / b_d
     L = spec.network.links_per_node
-    n_iters = nb if base.iterations is None else min(base.iterations, nb)
+    n_iters = _iterations_run(base)
     npts = len(configs)
     l1a = np.asarray([c.l1 for c in configs], dtype=np.int64)
     l2a = np.asarray([c.l2 for c in configs], dtype=np.int64)

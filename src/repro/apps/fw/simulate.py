@@ -1,5 +1,7 @@
-"""Discrete-event simulation of the distributed FW designs (Section 5.2.3).
+"""The distributed FW schedule (Section 5.2.3) and its simulation.
 
+The schedule is written once, as op streams (:func:`fw_schedule`) that
+both the DES interpreter (:mod:`repro.apps.des`) and the fast path run.
 Iteration ``t`` has ``n/b`` phases:
 
 * **phase 0**: the owner P_t' runs op1 on the diagonal block and
@@ -31,12 +33,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ...hw.fw_design import FloydWarshallDesign
-from ...machine.system import MachineSpec, ReconfigurableSystem
-from ...mpi import Communicator
+from ...machine.system import MachineSpec
 from ...sim import Trace
+from .. import des
 from .layout import ColumnBlockLayout
 
-__all__ = ["FwSimConfig", "FwSimResult", "simulate_fw"]
+__all__ = ["FwSimConfig", "FwSimResult", "fw_schedule", "simulate_fw"]
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,106 @@ class FwSimResult:
         return self.useful_flops / total / 1e9 if total > 0 else 0.0
 
 
+def _iterations_run(config: FwSimConfig) -> int:
+    nb = config.nb
+    return nb if config.iterations is None else min(config.iterations, nb)
+
+
+def _fw_layout(p: int, config: FwSimConfig) -> ColumnBlockLayout:
+    """The column-block layout, checking ``l1 + l2 = n/(bp)``."""
+    layout = ColumnBlockLayout(config.nb, p)
+    if config.ops_per_phase != layout.cols_per_node:
+        raise ValueError(
+            f"l1 + l2 = {config.ops_per_phase} must equal the per-node "
+            f"per-phase operation count n/(bp) = {layout.cols_per_node}"
+        )
+    return layout
+
+
+def fw_schedule(
+    spec: MachineSpec,
+    config: FwSimConfig,
+    design: FloydWarshallDesign,
+    trace: bool = False,
+) -> list:
+    """The distributed blocked-FW schedule as ``(name, op stream)`` processes.
+
+    One ``node{i}`` process per node runs every phase: broadcast or
+    receive the pivot block, stage and launch the FPGA's l2 operations,
+    run the processor's l1, then wait for the FPGA.  The op vocabulary
+    is tabled in docs/simulator.md; ``trace`` builds the ops' trace labels.
+    """
+    p = spec.p
+    layout = _fw_layout(p, config)
+    nb, b, l1, l2 = config.nb, config.b, config.l1, config.l2
+    kernel = config.cpu_kernel
+    bw = 8
+    block_bytes = b * b * bw
+    stage_bytes = 2 * block_bytes  # two operand blocks per FPGA op (T_mem)
+    op_cycles = design.tile_cycles(b)  # 2 b^3 / k
+    op_flops = 2.0 * b**3
+    n_iters = _iterations_run(config)
+
+    def node_main(i: int):
+        label = stage = ""
+        for t in range(n_iters):
+            owner = layout.iteration_owner(t)
+            dsts = [w for w in range(p) if w != owner]
+            for phase in range(nb):
+                # The owner broadcasts the pivot block (op1 result in
+                # phase 0, the previous phase's op22 result afterwards);
+                # every other node receives it before its operations.
+                tag = ("pivot", t, phase)
+                if trace:
+                    label = f"ops[{t},{phase}]"
+                    stage = f"stage:{label}"
+                if i == owner:
+                    if phase == 0:
+                        # op1 on the diagonal block, on the processor.
+                        yield ("cpu", i, kernel, op_flops, f"op1[{t}]" if trace else "")
+                    yield ("send_batch", i, dsts, block_bytes, tag)
+                else:
+                    yield ("recv", i, owner, tag)
+                fkey = ("fpga", i, t, phase)
+                if l2 == 0:
+                    yield ("set", fkey)
+                elif config.aggregate_ops:
+                    batch = ("fpga", i, l2 * op_cycles, l2 * op_flops, 1, fkey, label)
+                    if config.overlap:
+                        # Stage the first op's operands, launch the batch,
+                        # keep staging the rest while CPU and FPGA work.
+                        yield ("chan", i, stage_bytes, stage)
+                        yield batch
+                        if l2 > 1:
+                            yield ("chan", i, stage_bytes * (l2 - 1), stage)
+                    else:
+                        yield ("chan", i, stage_bytes * l2, stage)
+                        yield batch
+                else:
+                    # Per-operation granularity (small-n validation runs).
+                    ops = ("fpga", i, op_cycles, op_flops, l2, fkey, label)
+                    if config.overlap:
+                        yield ("chan", i, stage_bytes, stage)
+                        yield ops
+                        for _ in range(l2 - 1):
+                            yield ("chan", i, stage_bytes, stage)
+                    else:
+                        for _ in range(l2):
+                            yield ("chan", i, stage_bytes, stage)
+                        yield ops
+                # The processor's own operations (the owner's op22 is
+                # folded in as the first of them).
+                if l1 > 0:
+                    if config.aggregate_ops:
+                        yield ("cpu", i, kernel, l1 * op_flops, label)
+                    else:
+                        for _ in range(l1):
+                            yield ("cpu", i, kernel, op_flops, label)
+                yield ("wait", fkey)
+
+    return [(f"node{i}", node_main(i)) for i in range(p)]
+
+
 def _analytic_fw(spec, config, design):
     # Deferred import: .analytic imports this module's config/result types.
     from .analytic import analytic_fw
@@ -141,114 +243,8 @@ def simulate_fw(
     )
     if fast is not None:
         return fast
-    system = ReconfigurableSystem(spec, trace=trace, node_specs=node_specs)
-    if not trace:
-        system.sim.trace = None
-    if monitor is not None:
-        system.sim.attach_monitor(monitor)
     if design is None:
         design = FloydWarshallDesign.for_device(spec.node.fpga.device, k=config.k)
-    system.configure_fpgas(lambda: design)
-    if faults is not None:
-        faults.install(system)
-    comm = Communicator(system)
-    sim = system.sim
-    p = spec.p
-    nb, b, l1, l2 = config.nb, config.b, config.l1, config.l2
-    layout = ColumnBlockLayout(nb, p)
-    if config.ops_per_phase != layout.cols_per_node:
-        raise ValueError(
-            f"l1 + l2 = {config.ops_per_phase} must equal the per-node "
-            f"per-phase operation count n/(bp) = {layout.cols_per_node}"
-        )
-    bw = 8
-    block_bytes = b * b * bw
-    stage_bytes = 2 * block_bytes  # two operand blocks per FPGA op (T_mem)
-    op_cycles = design.tile_cycles(b)  # 2 b^3 / k
-    op_flops = 2.0 * b**3
-    n_iters = nb if config.iterations is None else min(config.iterations, nb)
-
-    def fpga_batch(node, done, ops: int, label: str):
-        yield from node.fpga_run_cycles(ops * op_cycles, label=label, flops=ops * op_flops)
-        done.succeed()
-
-    def run_phase(node, i: int, t: int, phase: int, owner: int):
-        """One phase on one node: bcast + l1 CPU ops + l2 FPGA ops."""
-        # Owner of this iteration broadcasts the pivot block (op1 result
-        # in phase 0, the previous phase's op22 result afterwards); every
-        # other node receives it before touching its operations.
-        tag = ("pivot", t, phase)
-        if i == owner:
-            if phase == 0:
-                # op1 on the diagonal block, on the processor.
-                yield from node.cpu_run(config.cpu_kernel, op_flops, label=f"op1[{t}]")
-            sends = [
-                sim.process(comm.send(owner, w, nbytes=block_bytes, tag=tag))
-                for w in range(p)
-                if w != owner
-            ]
-            yield sim.all_of(sends)
-        else:
-            yield from comm.recv(i, owner, tag=tag)
-
-        my_l1, my_l2 = l1, l2
-        fpga_done = sim.event(name=f"fpga[{i},{t},{phase}]")
-        label = f"ops[{t},{phase}]"
-        if my_l2 == 0:
-            fpga_done.succeed()
-        elif config.aggregate_ops:
-            if config.overlap:
-                # Stage the first op's operands, launch the batch, keep
-                # staging the rest while CPU and FPGA work.
-                yield from node.dram_to_fpga(stage_bytes, label=f"stage:{label}")
-                sim.process(fpga_batch(node, fpga_done, my_l2, label))
-                if my_l2 > 1:
-                    yield from node.dram_to_fpga(stage_bytes * (my_l2 - 1), label=f"stage:{label}")
-            else:
-                yield from node.dram_to_fpga(stage_bytes * my_l2, label=f"stage:{label}")
-                sim.process(fpga_batch(node, fpga_done, my_l2, label))
-        else:
-            # Per-operation granularity (small-n validation runs).
-            def fpga_ops(node=node):
-                for _ in range(my_l2):
-                    yield from node.fpga_run_cycles(op_cycles, label=label, flops=op_flops)
-                fpga_done.succeed()
-
-            if config.overlap:
-                yield from node.dram_to_fpga(stage_bytes, label=f"stage:{label}")
-                sim.process(fpga_ops())
-                for _ in range(my_l2 - 1):
-                    yield from node.dram_to_fpga(stage_bytes, label=f"stage:{label}")
-            else:
-                for _ in range(my_l2):
-                    yield from node.dram_to_fpga(stage_bytes, label=f"stage:{label}")
-                sim.process(fpga_ops())
-        # The processor's own operations (the owner's op22 is folded in
-        # as the first of them so the next pivot is ready earliest).
-        if my_l1 > 0:
-            if config.aggregate_ops:
-                yield from node.cpu_run(config.cpu_kernel, my_l1 * op_flops, label=label)
-            else:
-                for _ in range(my_l1):
-                    yield from node.cpu_run(config.cpu_kernel, op_flops, label=label)
-        yield fpga_done
-
-    def node_main(i: int):
-        node = system.nodes[i]
-        for t in range(n_iters):
-            owner = layout.iteration_owner(t)
-            for phase in range(nb):
-                yield from run_phase(node, i, t, phase, owner)
-
-    for i in range(p):
-        sim.process(node_main(i), name=f"node{i}")
-    elapsed = system.run()
-    return FwSimResult(
-        elapsed=elapsed,
-        iterations_run=n_iters,
-        config=config,
-        trace=system.trace,
-        cpu_busy=[nd.cpu_busy_time for nd in system.nodes],
-        fpga_busy=[nd.fpga.busy_time for nd in system.nodes],
-        network_bytes=system.network.bytes_moved,
-    )
+    procs = fw_schedule(spec, config, design, trace=trace)
+    run = des.simulate(spec, design, procs, trace, node_specs, monitor, faults)
+    return FwSimResult(iterations_run=_iterations_run(config), config=config, **run)

@@ -1,30 +1,26 @@
-"""Analytic (DES-free) replays of the LU simulations -- bitwise exact.
+"""Analytic (DES-free) LU and block-MM evaluation -- bitwise exact.
 
-:func:`analytic_lu` replays :func:`repro.apps.lu.simulate.simulate_lu`
-through the :class:`repro.sim.analytic.Replay` engine: the same
-schedule expressed as op-yielding generators, evaluating the identical
-float arithmetic in the identical order, so every field of the returned
-:class:`LuSimResult` matches the DES bitwise.  The engine refuses
-(:class:`FastPathUnsupported`) any configuration whose outcome would
-depend on DES intra-timestamp micro-ordering.
+:func:`analytic_lu` runs :func:`repro.apps.lu.simulate.lu_schedule`'s
+op streams -- the very streams the DES interprets -- on the
+:class:`repro.sim.analytic.Replay` engine, so every field of the
+returned :class:`LuSimResult` matches the DES bitwise.  The engine
+refuses (:class:`FastPathUnsupported`) any configuration whose outcome
+would depend on DES intra-timestamp micro-ordering.  Tie classes (why
+the replay is safe where it does not refuse): the owner's
+per-superstripe broadcast is one ``send_batch`` burst, and workers'
+result sends toward the same opMS owner carry their broadcast *wave*
+(``position // links_per_node``) as tie class, as same-job same-wave
+workers are structurally identical twins.
 
-:func:`analytic_block_mm` is a closed form for the Figure 5 kernel:
-the stripe broadcast is a chain of link-limited send waves and each
-worker's receive/stage/compute pipeline is a pure fold over stripe
+:func:`analytic_block_mm` is a closed-form fold of
+:func:`~repro.apps.lu.simulate.block_mm_schedule` for the Figure 5
+kernel: the stripe broadcast is a chain of link-limited send waves and
+each worker's receive/stage/compute pipeline is a pure fold over stripe
 arrivals, with no cross-worker contention for any parameter choice.
 :func:`analytic_block_mm_batch` vectorises that fold over a whole
-``b_f`` grid in one NumPy pass (one fused sweep instead of one DES run
-per point) while keeping elementwise IEEE-754 double arithmetic, so
-each lane of the batch equals the scalar (and hence the DES) bitwise.
-
-Tie classes used for LU (why the replay is safe where it does not
-refuse): the owner's per-superstripe broadcast is one ``send_batch``
-burst -- its transfers enter each FIFO in a fixed documented order in
-both engines; workers' result sends toward the same ``opMS`` owner are
-tagged with their broadcast *wave* (``position // links_per_node``), as
-same-job same-wave workers are structurally identical twins whose
-arrival order is restored at every resynchronisation point.  Any other
-same-time collision refuses to the DES.
+``b_f`` grid in one NumPy pass with elementwise IEEE-754 double
+arithmetic, so each lane equals the scalar fold, ``Replay`` over the
+op streams, and the DES bitwise.
 """
 
 from __future__ import annotations
@@ -32,16 +28,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ...hw.mm_design import MatrixMultiplyDesign
-from ...kernels.flops import getrf_flops, trsm_flops
 from ...machine.system import MachineSpec
 from ...sim.analytic import Replay
-from .simulate import (
-    LuSimConfig,
-    LuSimResult,
-    iteration_jobs,
-    released_after_opl,
-    released_after_opu,
-)
+from .simulate import LuSimConfig, LuSimResult, _lu_result, lu_schedule
 
 __all__ = ["analytic_block_mm", "analytic_block_mm_batch", "analytic_lu"]
 
@@ -59,138 +48,7 @@ def analytic_lu(
     """
     if design is None:
         design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=config.k)
-    p = spec.p
-    if p < 2:
-        raise ValueError("the distributed LU design needs p >= 2 nodes")
-    nb, b, b_f, b_p, S = config.nb, config.b, config.b_f, config.b_p, config.superstripes
-    bw = 8
-    proc = spec.node.processor
-    kernel = config.cpu_mm_kernel
-
-    # Identical size/duration arithmetic to simulate_lu, precomputed once.
-    c_bytes = b * b * bw
-    d_bytes = b * b * bw // (p - 1)
-    job_bytes = c_bytes + d_bytes
-    stage_bytes = (b_f * b + b * b // (p - 1)) * bw
-    fpga_cycles_per_job = b_f * b * b / ((p - 1) * config.k)
-    cpu_flops_per_job = 2.0 * b_p * b * (b / (p - 1))
-    result_bytes = b * b * bw // (p - 1)
-
-    net = spec.network
-    chunk_size = int(job_bytes / S)  # comm.send coerces nbytes to int
-    chunk_svc = net.latency + chunk_size / net.bandwidth
-    result_size = int(result_bytes)
-    result_svc = net.latency + result_size / net.bandwidth
-    freq = design.freq_hz
-    b_d = min(8.0 * freq, spec.node.fpga.dram_link_bandwidth)
-    stage_dur = 0.0 + (stage_bytes / S) / b_d  # BandwidthChannel latency 0.0
-    stage_dur_full = 0.0 + stage_bytes / b_d
-    fpga_dur = fpga_cycles_per_job / freq
-    gemm_dur = proc.kernel_time(kernel, cpu_flops_per_job / S)
-    gemm_dur_full = proc.kernel_time(kernel, cpu_flops_per_job)
-    getrf_dur = proc.kernel_time("dgetrf", getrf_flops(b))
-    trsm_dur = proc.kernel_time("dtrsm", trsm_flops(b, b))
-    opms_dur = proc.kernel_time(kernel, float(b * b))
-
-    n_iters = nb if config.iterations is None else min(config.iterations, nb)
-    engine = Replay(p, net.links_per_node)
-
-    def workers_of(t: int) -> list[int]:
-        owner = t % p
-        return [i for i in range(p) if i != owner]
-
-    def owner_iteration(t: int):
-        m = nb - t - 1
-        owner = t % p
-        if t > 0 and config.collect_results:
-            waits = [("ms", t - 1, u, t) for u in range(t, nb)]
-            waits += [("ms", t - 1, t, v) for v in range(t + 1, nb)]
-            yield ("wait_all", waits)
-        yield ("cpu", owner, getrf_dur)
-        pending: list[tuple[int, int]] = []
-
-        def ship(limit: int):
-            for _ in range(min(limit, len(pending))):
-                u, v = pending.pop(0)
-                dsts = workers_of(t)
-                for s in range(S):
-                    yield ("send_batch", owner, dsts, chunk_svc, chunk_size,
-                           [("mm", t, u, v, s, w) for w in dsts])
-
-        for j in range(1, m + 1):
-            yield ("cpu", owner, trsm_dur)
-            pending.extend(released_after_opl(t, j))
-            yield from ship(config.l)
-            yield ("cpu", owner, trsm_dur)
-            pending.extend(released_after_opu(t, j))
-            yield from ship(config.l)
-        yield from ship(len(pending))
-
-    def worker_iteration(i: int, t: int):
-        wave = workers_of(t).index(i) // net.links_per_node
-        for u, v in iteration_jobs(t, nb):
-            fkey = ("fpga", i, t, u, v)
-            if config.overlap:
-                started = False
-                for s in range(S):
-                    yield ("wait", ("mm", t, u, v, s, i))
-                    if b_f > 0:
-                        yield ("chan", i, stage_dur)
-                        if not started:
-                            yield ("fpga_spawn", i, fpga_dur, fkey)
-                            started = True
-                    if b_p > 0:
-                        yield ("cpu", i, gemm_dur)
-                if not started:
-                    yield ("set", fkey)
-            else:
-                for s in range(S):
-                    yield ("wait", ("mm", t, u, v, s, i))
-                if b_f > 0:
-                    yield ("chan", i, stage_dur_full)
-                    yield ("fpga_spawn", i, fpga_dur, fkey)
-                else:
-                    yield ("set", fkey)
-                if b_p > 0:
-                    yield ("cpu", i, gemm_dur_full)
-            yield ("wait", fkey)
-            if config.collect_results:
-                dest = min(u, v) % p
-                if dest != i:
-                    yield ("send", i, dest, result_svc, result_size,
-                           ("msr", t, u, v, i), ("msr", t, u, v, wave))
-                else:
-                    yield ("set", ("msr", t, u, v, i))
-
-    def ms_sink(i: int):
-        for t in range(n_iters):
-            mine = [(u, v) for (u, v) in iteration_jobs(t, nb) if min(u, v) % p == i]
-            for u, v in mine:
-                yield ("wait_all", [("msr", t, u, v, w) for w in workers_of(t)])
-                yield ("cpu", i, opms_dur)
-                yield ("set", ("ms", t, u, v))
-
-    def node_main(i: int):
-        for t in range(n_iters):
-            if i == t % p:
-                yield from owner_iteration(t)
-            else:
-                yield from worker_iteration(i, t)
-
-    for i in range(p):
-        engine.advance(node_main(i), 0.0)
-        if config.collect_results:
-            engine.advance(ms_sink(i), 0.0)
-    elapsed = engine.run()
-    return LuSimResult(
-        elapsed=elapsed,
-        useful_flops=(2.0 / 3.0) * float(config.n) ** 3,
-        config=config,
-        trace=None,
-        cpu_busy=engine.cpu_busy,
-        fpga_busy=engine.fpga_busy,
-        network_bytes=engine.net_bytes,
-    )
+    return _lu_result(config, Replay(spec, design).play(lu_schedule(spec, config)))
 
 
 def _block_mm_params(spec: MachineSpec, b: int, k: int, design, stripes):
@@ -202,7 +60,7 @@ def _block_mm_params(spec: MachineSpec, b: int, k: int, design, stripes):
     net = spec.network
     stripe_bytes = 2 * b * k * 8
     svc = net.latency + stripe_bytes / net.bandwidth
-    b_d = min(8.0 * design.freq_hz, spec.node.fpga.dram_link_bandwidth)
+    b_d = spec.node.fpga.effective_dram_bandwidth(design.freq_hz)
     rate = spec.node.processor.sustained_flops("dgemm")
     m = p - 1
     L = net.links_per_node

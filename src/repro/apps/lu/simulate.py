@@ -1,6 +1,9 @@
-"""Discrete-event simulation of the distributed LU designs (Section 5.1.3).
+"""The distributed LU schedule (Section 5.1.3) and its simulation.
 
-Simulates the paper's schedule faithfully at the opMM/superstripe level:
+The paper's schedule is written once, as op streams (:func:`lu_schedule`,
+:func:`block_mm_schedule`) that both the DES interpreter
+(:mod:`repro.apps.des`) and the fast path's ``Replay`` run.  It follows
+the paper faithfully at the opMM/superstripe level:
 
 * In iteration ``t`` the owner ``P_{t mod p}`` runs opLU, then the m
   opL/opU pairs, on its processor (atomic routines -- its sends happen
@@ -32,14 +35,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ...core.partition import LuStripePartition, lu_stripe_partition
 from ...hw.mm_design import MatrixMultiplyDesign
 from ...kernels.flops import getrf_flops, trsm_flops
-from ...machine.system import MachineSpec, ReconfigurableSystem
-from ...mpi import Communicator
+from ...machine.system import MachineSpec
 from ...sim import Trace
+from .. import des
 
-__all__ = ["LuSimConfig", "LuSimResult", "simulate_lu", "simulate_block_mm"]
+__all__ = [
+    "LuSimConfig",
+    "LuSimResult",
+    "block_mm_schedule",
+    "lu_schedule",
+    "simulate_block_mm",
+    "simulate_lu",
+]
 
 
 @dataclass(frozen=True)
@@ -130,8 +139,213 @@ def iteration_jobs(t: int, nb: int) -> list[tuple[int, int]]:
     return out
 
 
+def lu_schedule(spec: MachineSpec, config: LuSimConfig, trace: bool = False) -> list:
+    """The distributed LU schedule as ``(name, op stream)`` processes.
+
+    One ``node{i}`` process per node (owner or worker role per
+    iteration) plus, when results are collected, one ``ms_sink{i}``
+    opMS sink per node.  The op vocabulary is tabled in
+    docs/simulator.md; ``trace`` builds the ops' trace labels.
+    """
+    p = spec.p
+    if p < 2:
+        raise ValueError("the distributed LU design needs p >= 2 nodes")
+    nb, b, b_f, b_p, S = config.nb, config.b, config.b_f, config.b_p, config.superstripes
+    bw = 8
+    kernel = config.cpu_mm_kernel
+    links = spec.network.links_per_node
+
+    # Per-worker, per-opMM data sizes (physical: C broadcast, D scattered).
+    c_bytes = b * b * bw
+    d_bytes = b * b * bw // (p - 1)
+    job_bytes = c_bytes + d_bytes
+    stage_bytes = (b_f * b + b * b // (p - 1)) * bw  # FPGA share staged over B_d
+    # (b/k stripes) x (b_f * b/(p-1) cycles per stripe) per opMM.
+    fpga_cycles_per_job = b_f * b * b / ((p - 1) * config.k)
+    cpu_flops_per_job = 2.0 * b_p * b * (b / (p - 1))
+    fpga_flops_per_job = 2.0 * b_f * b * (b / (p - 1))
+    result_bytes = b * b * bw // (p - 1)  # each worker's E columns
+    # Per-superstripe shares and the panel routines' flops.
+    chunk_bytes, stage_chunk, gemm_chunk = job_bytes / S, stage_bytes / S, cpu_flops_per_job / S
+    trsm = trsm_flops(b, b)
+    n_iters = nb if config.iterations is None else min(config.iterations, nb)
+
+    def workers_of(t: int) -> list[int]:
+        owner = t % p
+        return [i for i in range(p) if i != owner]
+
+    # ------------------------------------------------------------- owner
+
+    def owner_iteration(t: int):
+        m = nb - t - 1
+        owner = t % p
+        # The panel reads strip t as updated by iteration t-1's opMS.
+        if t > 0 and config.collect_results:
+            waits = [("ms", t - 1, u, t) for u in range(t, nb)]
+            waits += [("ms", t - 1, t, v) for v in range(t + 1, nb)]
+            yield ("wait_all", waits)
+        yield ("cpu", owner, "dgetrf", getrf_flops(b), f"opLU[{t}]" if trace else "")
+        pending: list[tuple[int, int]] = []
+
+        def ship(limit: int):
+            """Ship up to ``limit`` opMMs' stripes to all workers, superstripe-wise."""
+            for _ in range(min(limit, len(pending))):
+                u, v = pending.pop(0)
+                dsts = workers_of(t)
+                for s in range(S):
+                    yield ("send_batch", owner, dsts, chunk_bytes, ("mm", t, u, v, s))
+
+        for j in range(1, m + 1):
+            yield ("cpu", owner, "dtrsm", trsm, f"opL[{t},{t + j}]" if trace else "")
+            pending.extend(released_after_opl(t, j))
+            yield from ship(config.l)
+            yield ("cpu", owner, "dtrsm", trsm, f"opU[{t},{t + j}]" if trace else "")
+            pending.extend(released_after_opu(t, j))
+            yield from ship(config.l)
+        yield from ship(len(pending))
+
+    # ------------------------------------------------------------- worker
+
+    def worker_iteration(i: int, t: int):
+        owner = t % p
+        # Result sends of same-job workers in one broadcast wave are
+        # structurally identical twins: one Replay tie class.
+        wave = workers_of(t).index(i) // links
+        stage = gemm = mm = ""
+        for u, v in iteration_jobs(t, nb):
+            fkey = ("fpga", i, t, u, v)
+            if trace:
+                stage, gemm, mm = f"stage[{t},{u},{v}]", f"gemm[{t},{u},{v}]", f"mm[{t},{u},{v}]"
+            fpga = ("fpga", i, fpga_cycles_per_job, fpga_flops_per_job, 1, fkey, mm)
+            if config.overlap:
+                started = False
+                for s in range(S):
+                    yield ("recv", i, owner, ("mm", t, u, v, s))
+                    if b_f > 0:
+                        yield ("chan", i, stage_chunk, stage)
+                        if not started:
+                            yield fpga
+                            started = True
+                    if b_p > 0:
+                        yield ("cpu", i, kernel, gemm_chunk, gemm)
+                if not started:
+                    yield ("set", fkey)
+            else:
+                # Ablation: no overlap -- receive and stage everything,
+                # then compute.
+                for s in range(S):
+                    yield ("recv", i, owner, ("mm", t, u, v, s))
+                if b_f > 0:
+                    yield ("chan", i, stage_bytes, stage)
+                    yield fpga
+                else:
+                    yield ("set", fkey)
+                if b_p > 0:
+                    yield ("cpu", i, kernel, cpu_flops_per_job, gemm)
+            yield ("wait", fkey)
+            if config.collect_results:
+                dest = min(u, v) % p
+                if dest != i:
+                    yield ("send", i, dest, result_bytes, ("ms", t, u, v, i), ("ms", t, u, v, wave))
+                else:
+                    # The locally kept part is ready; the sink only waits on
+                    # it.  The worker's own wait yields once to same-time
+                    # events, an ordering the DES results depend on.
+                    local = ("local_ms", i, t, u, v)
+                    yield ("set", local)
+                    yield ("wait", local)
+
+    # ---------------------------------------------------- opMS sink per node
+
+    def ms_sink(i: int):
+        """Receives A'_uv parts and applies the opMS subtractions."""
+        for t in range(n_iters):
+            workers = workers_of(t)
+            srcs = [None if w == i else w for w in workers]
+            for u, v in iteration_jobs(t, nb):
+                if min(u, v) % p != i:
+                    continue
+                parts = [("local_ms", i, t, u, v) if w == i else ("ms", t, u, v, w)
+                         for w in workers]
+                yield ("wait_all", parts, i, srcs)
+                # The subtraction itself: b^2 flops, tiny but real.
+                yield ("cpu", i, kernel, float(b * b), f"opMS[{t},{u},{v}]" if trace else "")
+                yield ("set", ("ms", t, u, v))
+
+    # ------------------------------------------------------------ node mains
+
+    def node_main(i: int):
+        for t in range(n_iters):
+            if i == t % p:
+                yield from owner_iteration(t)
+            else:
+                yield from worker_iteration(i, t)
+
+    procs = []
+    for i in range(p):
+        procs.append((f"node{i}", node_main(i)))
+        if config.collect_results:
+            procs.append((f"ms_sink{i}", ms_sink(i)))
+    return procs
+
+
+def block_mm_schedule(
+    spec: MachineSpec,
+    b: int,
+    b_f: int,
+    k: int,
+    stripes: Optional[int] = None,
+    trace: bool = False,
+) -> list:
+    """One cooperative b x b block multiplication as op streams.
+
+    Node 0 (``sender``) streams the stripe pairs; ``worker{i}`` for
+    nodes 1..p-1 pipelines receive / stage / compute, splitting rows
+    b_f : b - b_f between FPGA and CPU.  ``trace`` builds the ops'
+    trace labels.
+    """
+    if not 0 <= b_f <= b:
+        raise ValueError(f"b_f={b_f} outside [0, {b}]")
+    if b % k:
+        raise ValueError(f"b={b} must be a multiple of k={k}")
+    p = spec.p
+    S = stripes if stripes is not None else b // k
+    bw = 8
+    b_p = b - b_f
+    stripe_bytes = 2 * b * k * bw  # one C column stripe + one D row stripe
+    stage_bytes = (b_f * k + b * k / (p - 1)) * bw
+    fpga_cycles = b_f * (b / (p - 1))  # per stripe
+    cpu_flops = 2.0 * b_p * k * (b / (p - 1))  # per stripe
+
+    def sender():
+        dsts = list(range(1, p))
+        for s in range(S):
+            yield ("send_batch", 0, dsts, stripe_bytes, ("stripe", s))
+
+    def worker(i: int):
+        started = False
+        for s in range(S):
+            yield ("recv", i, 0, ("stripe", s))
+            if b_f > 0:
+                yield ("chan", i, stage_bytes, f"stage{s}" if trace else "")
+                if not started:
+                    yield ("fpga", i, fpga_cycles * S, 0.0, 1, ("fpga", i), "mm")
+                    started = True
+            if b_p > 0:
+                yield ("cpu", i, "dgemm", cpu_flops, f"gemm{s}" if trace else "")
+        if started:
+            yield ("wait", ("fpga", i))
+
+    return [("sender", sender())] + [(f"worker{i}", worker(i)) for i in range(1, p)]
+
+
+def _lu_result(config: LuSimConfig, run: dict) -> LuSimResult:
+    """An :class:`LuSimResult` from either engine's result fields."""
+    return LuSimResult(useful_flops=(2.0 / 3.0) * float(config.n) ** 3, config=config, **run)
+
+
 def _analytic_lu(spec, config, design):
-    # Deferred import: .analytic imports this module's schedule helpers.
+    # Deferred import: .analytic imports this module's schedules.
     from .analytic import analytic_lu
 
     return analytic_lu(spec, config, design)
@@ -180,212 +394,11 @@ def simulate_lu(
     )
     if fast is not None:
         return fast
-    system = ReconfigurableSystem(spec, trace=trace, node_specs=node_specs)
-    if not trace:
-        system.sim.trace = None
-    if monitor is not None:
-        system.sim.attach_monitor(monitor)
+    procs = lu_schedule(spec, config, trace=trace)
     if design is None:
         design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=config.k)
-    system.configure_fpgas(lambda: design)
-    if faults is not None:
-        faults.install(system)
-    comm = Communicator(system)
-    sim = system.sim
-    p = spec.p
-    if p < 2:
-        raise ValueError("the distributed LU design needs p >= 2 nodes")
-    nb, b, b_f, b_p, S = config.nb, config.b, config.b_f, config.b_p, config.superstripes
-    bw = 8
-    cpu_rate = spec.node.processor.sustained_flops(config.cpu_mm_kernel)
-
-    # Per-worker, per-opMM data sizes (physical: C broadcast, D scattered).
-    c_bytes = b * b * bw
-    d_bytes = b * b * bw // (p - 1)
-    job_bytes = c_bytes + d_bytes
-    stage_bytes = (b_f * b + b * b // (p - 1)) * bw  # FPGA share staged over B_d
-    # (b/k stripes) x (b_f * b/(p-1) cycles per stripe) per opMM.
-    fpga_cycles_per_job = b_f * b * b / ((p - 1) * config.k)
-    cpu_flops_per_job = 2.0 * b_p * b * (b / (p - 1))
-    fpga_flops_per_job = 2.0 * b_f * b * (b / (p - 1))
-    result_bytes = b * b * bw // (p - 1)  # each worker's E columns
-
-    ms_events: dict[tuple[int, int, int], object] = {}
-
-    def ms_event(t: int, u: int, v: int):
-        key = (t, u, v)
-        if key not in ms_events:
-            ms_events[key] = sim.event(name=f"ms[{t},{u},{v}]")
-        return ms_events[key]
-
-    def workers_of(t: int) -> list[int]:
-        owner = t % p
-        return [i for i in range(p) if i != owner]
-
-    # ------------------------------------------------------------- owner
-
-    def send_job(t: int, u: int, v: int):
-        """Owner ships one opMM's stripes to all workers, superstripe-wise."""
-        owner = t % p
-        for s in range(S):
-            sends = [
-                sim.process(
-                    comm.send(owner, w, nbytes=job_bytes / S, tag=("mm", t, u, v, s))
-                )
-                for w in workers_of(t)
-            ]
-            yield sim.all_of(sends)
-
-    def owner_iteration(node, t: int):
-        m = nb - t - 1
-        owner = t % p
-        # The panel reads strip t as updated by iteration t-1's opMS.
-        if t > 0 and config.collect_results:
-            waits = [ms_event(t - 1, u, t) for u in range(t, nb)]
-            waits += [ms_event(t - 1, t, v) for v in range(t + 1, nb)]
-            yield sim.all_of(waits)
-        yield from node.cpu_run("dgetrf", getrf_flops(b), label=f"opLU[{t}]")
-        pending: list[tuple[int, int]] = []
-
-        def ship(limit: int):
-            for _ in range(min(limit, len(pending))):
-                u, v = pending.pop(0)
-                yield from send_job(t, u, v)
-
-        for j in range(1, m + 1):
-            yield from node.cpu_run("dtrsm", trsm_flops(b, b), label=f"opL[{t},{t + j}]")
-            pending.extend(released_after_opl(t, j))
-            yield from ship(config.l)
-            yield from node.cpu_run("dtrsm", trsm_flops(b, b), label=f"opU[{t},{t + j}]")
-            pending.extend(released_after_opu(t, j))
-            yield from ship(config.l)
-        yield from ship(len(pending))
-
-    # ------------------------------------------------------------- worker
-
-    def worker_iteration(node, i: int, t: int):
-        owner = t % p
-        for u, v in iteration_jobs(t, nb):
-            fpga_done = sim.event(name=f"fpga[{i},{t},{u},{v}]")
-            if config.overlap:
-                started = False
-                for s in range(S):
-                    yield from comm.recv(i, owner, tag=("mm", t, u, v, s))
-                    if b_f > 0:
-                        yield from node.dram_to_fpga(stage_bytes / S, label=f"stage[{t},{u},{v}]")
-                        if not started:
-                            sim.process(
-                                fpga_job(node, i, fpga_done, fpga_cycles_per_job, t, u, v)
-                            )
-                            started = True
-                    if b_p > 0:
-                        yield from node.cpu_run(
-                            config.cpu_mm_kernel,
-                            cpu_flops_per_job / S,
-                            label=f"gemm[{t},{u},{v}]",
-                        )
-                if not started:
-                    fpga_done.succeed()
-            else:
-                # Ablation: no overlap -- receive and stage everything,
-                # then compute.
-                for s in range(S):
-                    yield from comm.recv(i, owner, tag=("mm", t, u, v, s))
-                if b_f > 0:
-                    yield from node.dram_to_fpga(stage_bytes, label=f"stage[{t},{u},{v}]")
-                    sim.process(fpga_job(node, i, fpga_done, fpga_cycles_per_job, t, u, v))
-                else:
-                    fpga_done.succeed()
-                if b_p > 0:
-                    yield from node.cpu_run(
-                        config.cpu_mm_kernel, cpu_flops_per_job, label=f"gemm[{t},{u},{v}]"
-                    )
-            yield fpga_done
-            if config.collect_results:
-                dest = min(u, v) % p
-                if dest != i:
-                    yield from comm.send(
-                        i, dest, nbytes=result_bytes, tag=("ms", t, u, v, i)
-                    )
-                else:
-                    ev = local_part_event(i, t, u, v)
-                    if not ev.triggered:
-                        ev.succeed()
-                    yield ev
-
-    def fpga_job(node, i: int, done_event, cycles: float, t: int, u: int, v: int):
-        yield from node.fpga_run_cycles(
-            cycles, label=f"mm[{t},{u},{v}]", flops=fpga_flops_per_job
-        )
-        done_event.succeed()
-
-    # ---------------------------------------------------- opMS sink per node
-
-    local_ms_parts: dict[tuple[int, int, int, int], object] = {}
-
-    def local_part_event(i: int, t: int, u: int, v: int):
-        """Get-or-create the event marking a worker's locally-kept part.
-
-        The worker succeeds it when its share of A'_uv is ready; the sink
-        only waits on it.
-        """
-        key = (i, t, u, v)
-        ev = local_ms_parts.get(key)
-        if ev is None:
-            ev = sim.event(name=f"local_ms[{i},{t},{u},{v}]")
-            local_ms_parts[key] = ev
-        return ev
-
-    def ms_sink(node, i: int):
-        """Receives A'_uv parts and applies the opMS subtractions."""
-        for t in range(n_iters):
-            owner = t % p
-            my_jobs = [
-                (u, v) for (u, v) in iteration_jobs(t, nb) if min(u, v) % p == i
-            ]
-            for u, v in my_jobs:
-                recvs = []
-                for w in workers_of(t):
-                    if w == i:
-                        recvs.append(local_part_event(i, t, u, v))
-                    else:
-                        recvs.append(
-                            sim.process(comm.recv(i, w, tag=("ms", t, u, v, w)))
-                        )
-                yield sim.all_of(recvs)
-                # The subtraction itself: b^2 flops, tiny but real.
-                yield from node.cpu_run(
-                    config.cpu_mm_kernel, float(b * b), label=f"opMS[{t},{u},{v}]"
-                )
-                ms_event(t, u, v).succeed()
-
-    # ------------------------------------------------------------ node mains
-
-    n_iters = nb if config.iterations is None else min(config.iterations, nb)
-
-    def node_main(i: int):
-        node = system.nodes[i]
-        for t in range(n_iters):
-            if i == t % p:
-                yield from owner_iteration(node, t)
-            else:
-                yield from worker_iteration(node, i, t)
-
-    for i in range(p):
-        sim.process(node_main(i), name=f"node{i}")
-        if config.collect_results:
-            sim.process(ms_sink(system.nodes[i], i), name=f"ms_sink{i}")
-
-    elapsed = system.run()
-    return LuSimResult(
-        elapsed=elapsed,
-        useful_flops=(2.0 / 3.0) * float(config.n) ** 3,
-        config=config,
-        trace=system.trace,
-        cpu_busy=[nd.cpu_busy_time for nd in system.nodes],
-        fpga_busy=[nd.fpga.busy_time for nd in system.nodes],
-        network_bytes=system.network.bytes_moved,
-    )
+    run = des.simulate(spec, design, procs, trace, node_specs, monitor, faults)
+    return _lu_result(config, run)
 
 
 def simulate_block_mm(
@@ -400,10 +413,9 @@ def simulate_block_mm(
 ) -> float:
     """Latency of ONE cooperative b x b block multiplication (Figure 5).
 
-    Node 0 streams the stripe pairs; nodes 1..p-1 pipeline receive /
-    stage / compute, splitting rows b_f : b - b_f between FPGA and CPU.
-    ``stripes`` defaults to the true count ``b / k``.  ``fast_path``
-    selects the analytic closed form (see :func:`simulate_lu`).
+    Runs :func:`block_mm_schedule`; ``stripes`` defaults to the true
+    count ``b / k``.  ``fast_path`` selects the analytic closed form
+    (see :func:`simulate_lu`).
     """
     from ...sim.analytic import try_fast_path
 
@@ -415,58 +427,7 @@ def simulate_block_mm(
     )
     if fast is not None:
         return fast
-    if not 0 <= b_f <= b:
-        raise ValueError(f"b_f={b_f} outside [0, {b}]")
-    if b % k:
-        raise ValueError(f"b={b} must be a multiple of k={k}")
-    system = ReconfigurableSystem(spec, trace=trace)
-    if not trace:
-        system.sim.trace = None
+    procs = block_mm_schedule(spec, b, b_f, k, stripes, trace=trace)
     if design is None:
         design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=k)
-    system.configure_fpgas(lambda: design)
-    comm = Communicator(system)
-    sim = system.sim
-    p = spec.p
-    S = stripes if stripes is not None else b // k
-    bw = 8
-    b_p = b - b_f
-    cpu_rate = spec.node.processor.sustained_flops("dgemm")
-
-    stripe_bytes = 2 * b * k * bw  # one C column stripe + one D row stripe
-    stage_bytes = (b_f * k + b * k / (p - 1)) * bw
-    fpga_cycles = b_f * (b / (p - 1))  # per stripe
-    cpu_flops = 2.0 * b_p * k * (b / (p - 1))  # per stripe
-
-    def sender():
-        for s in range(S):
-            sends = [
-                sim.process(comm.send(0, w, nbytes=stripe_bytes, tag=("stripe", s)))
-                for w in range(1, p)
-            ]
-            yield sim.all_of(sends)
-
-    def fpga_run(node, done):
-        yield from node.fpga_run_cycles(fpga_cycles * S, label="mm", flops=0.0)
-        done.succeed()
-
-    def worker(i: int):
-        node = system.nodes[i]
-        done = sim.event()
-        started = False
-        for s in range(S):
-            yield from comm.recv(i, 0, tag=("stripe", s))
-            if b_f > 0:
-                yield from node.dram_to_fpga(stage_bytes, label=f"stage{s}")
-                if not started:
-                    sim.process(fpga_run(node, done))
-                    started = True
-            if b_p > 0:
-                yield from node.cpu_run("dgemm", cpu_flops, label=f"gemm{s}")
-        if started:
-            yield done
-
-    sim.process(sender(), name="sender")
-    for i in range(1, p):
-        sim.process(worker(i), name=f"worker{i}")
-    return system.run()
+    return des.simulate(spec, design, procs, trace)["elapsed"]

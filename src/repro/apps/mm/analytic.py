@@ -1,6 +1,6 @@
-"""Analytic (DES-free) replay of the ring-allgather MM simulation.
+"""Closed-form fold of the ring-allgather MM schedule (the fast path).
 
-The ring schedule of :func:`repro.apps.mm.simulate.simulate_mm` is
+The ring schedule of :func:`repro.apps.mm.simulate.mm_schedule` is
 fully symmetric: every node runs the identical recv / stage / compute /
 forward pipeline, each network link pair (a node's egress, its right
 neighbour's ingress) carries exactly one panel per step, and every
@@ -10,10 +10,11 @@ node's timeline folded over ring steps -- with the panel arrival of
 step ``s`` equal to the (identical) neighbour's send completion of
 step ``s - 1``.
 
-:func:`analytic_mm` replays that fold with the exact float arithmetic
+:func:`analytic_mm` evaluates that fold with the exact float arithmetic
 of the DES (same operations, same order, ``end - start`` busy
 accounting), so every field of the returned :class:`MmSimResult` is
-bitwise identical to the simulation.
+bitwise identical to the simulation and to ``Replay`` over the op
+streams, which the tests hold it to.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def analytic_mm(
     panel_size = int(panel_bytes)  # comm.send coerces nbytes to int
     svc = net.latency + panel_size / net.bandwidth
     freq = design.freq_hz
-    b_d = min(8.0 * freq, spec.node.fpga.dram_link_bandwidth)
+    b_d = spec.node.fpga.effective_dram_bandwidth(freq)
     rate = spec.node.processor.sustained_flops(config.cpu_kernel)
     if svc <= 0.0 or rate <= 0.0:
         raise FastPathUnsupported(

@@ -1,5 +1,7 @@
-"""Discrete-event simulation of the ring-allgather matrix multiplication.
+"""The ring-allgather matrix multiplication schedule and its simulation.
 
+The schedule is written once, as op streams (:func:`mm_schedule`) that
+both the DES interpreter (:mod:`repro.apps.des`) and the fast path run.
 Each node holds row panels of A, B and C.  In ring step ``s`` the node
 multiplies one ``r x r`` block of A with the B panel currently resident
 (its own at s = 0), while forwarding the panel around the ring:
@@ -19,12 +21,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ...hw.mm_design import MatrixMultiplyDesign
-from ...machine.system import MachineSpec, ReconfigurableSystem
-from ...mpi import Communicator
+from ...machine.system import MachineSpec
 from ...sim import Trace
-from .partition import MmPartition
+from .. import des
 
-__all__ = ["MmSimConfig", "MmSimResult", "simulate_mm"]
+__all__ = ["MmSimConfig", "MmSimResult", "mm_schedule", "simulate_mm"]
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,57 @@ class MmSimResult:
         return self.useful_flops / self.elapsed / 1e9 if self.elapsed > 0 else 0.0
 
 
+def mm_schedule(spec: MachineSpec, config: MmSimConfig, trace: bool = False) -> list:
+    """The ring-allgather MM schedule as ``(name, op stream)`` processes.
+
+    One ``node{i}`` process per node.  The op vocabulary is tabled in
+    docs/simulator.md; ``trace`` builds the ops' trace labels.
+    """
+    p = spec.p
+    r = config.validate_for(p)
+    n, k, m_f = config.n, config.k, config.m_f
+    m_p = r - m_f
+    kernel = config.cpu_kernel
+    bw = 8
+    panel_bytes = float(r) * n * bw
+    stage_bytes = (m_f * r) * bw + panel_bytes if m_f else 0.0
+    fpga_cycles = m_f * n * r / k  # (m_f x r) @ (r x n) on the array
+    cpu_flops = 2.0 * m_p * r * n
+    fpga_flops = 2.0 * m_f * r * n
+
+    def node_main(i: int):
+        right = (i + 1) % p
+        left = (i - 1) % p
+        stage = ""
+        for s in range(p):
+            if s > 0:
+                yield ("recv", i, left, ("ring", s))
+            fkey = ("fpga", i, s)
+            if m_f > 0:
+                if trace:
+                    stage = f"stage[{s}]"
+                job = ("fpga", i, fpga_cycles, fpga_flops, 1, fkey, f"mm[{s}]" if trace else "")
+                if config.overlap:
+                    # Stage a pipeline-fill fraction, launch, stream the rest.
+                    fill = stage_bytes / max(r // k, 1)
+                    yield ("chan", i, fill, stage)
+                    yield job
+                    yield ("chan", i, stage_bytes - fill, stage)
+                else:
+                    yield ("chan", i, stage_bytes, stage)
+                    yield job
+            else:
+                yield ("set", fkey)
+            if m_p > 0:
+                yield ("cpu", i, kernel, cpu_flops, f"gemm[{s}]" if trace else "")
+            if s < p - 1:
+                # Forward the panel for the next step (CPU time, Sec. 4.3).
+                yield ("send", i, right, panel_bytes, ("ring", s + 1), None)
+            yield ("wait", fkey)
+
+    return [(f"node{i}", node_main(i)) for i in range(p)]
+
+
 def _analytic_mm(spec, config, design):
     # Deferred import: .analytic imports this module's config/result types.
     from .analytic import analytic_mm
@@ -116,68 +168,8 @@ def simulate_mm(
     )
     if fast is not None:
         return fast
-    system = ReconfigurableSystem(spec, trace=trace, node_specs=node_specs)
-    if not trace:
-        system.sim.trace = None
-    if monitor is not None:
-        system.sim.attach_monitor(monitor)
+    procs = mm_schedule(spec, config, trace=trace)
     if design is None:
         design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=config.k)
-    system.configure_fpgas(lambda: design)
-    if faults is not None:
-        faults.install(system)
-    comm = Communicator(system)
-    sim = system.sim
-    p = spec.p
-    r = config.validate_for(p)
-    n, k, m_f = config.n, config.k, config.m_f
-    m_p = r - m_f
-    bw = 8
-    panel_bytes = float(r) * n * bw
-    stage_bytes = (m_f * r) * bw + panel_bytes if m_f else 0.0
-    fpga_cycles = m_f * n * r / k  # (m_f x r) @ (r x n) on the array
-    cpu_flops = 2.0 * m_p * r * n
-    fpga_flops = 2.0 * m_f * r * n
-
-    def fpga_step(node, done, s):
-        yield from node.fpga_run_cycles(fpga_cycles, label=f"mm[{s}]", flops=fpga_flops)
-        done.succeed()
-
-    def node_main(i: int):
-        node = system.nodes[i]
-        right = (i + 1) % p
-        left = (i - 1) % p
-        for s in range(p):
-            if s > 0:
-                yield from comm.recv(i, left, tag=("ring", s))
-            fpga_done = sim.event(name=f"fpga[{i},{s}]")
-            if m_f > 0:
-                if config.overlap:
-                    # Stage a pipeline-fill fraction, launch, stream the rest.
-                    fill = stage_bytes / max(r // k, 1)
-                    yield from node.dram_to_fpga(fill, label=f"stage[{s}]")
-                    sim.process(fpga_step(node, fpga_done, s))
-                    yield from node.dram_to_fpga(stage_bytes - fill, label=f"stage[{s}]")
-                else:
-                    yield from node.dram_to_fpga(stage_bytes, label=f"stage[{s}]")
-                    sim.process(fpga_step(node, fpga_done, s))
-            else:
-                fpga_done.succeed()
-            if m_p > 0:
-                yield from node.cpu_run(config.cpu_kernel, cpu_flops, label=f"gemm[{s}]")
-            if s < p - 1:
-                # Forward the panel for the next step (CPU time, Sec. 4.3).
-                yield from comm.send(i, right, nbytes=panel_bytes, tag=("ring", s + 1))
-            yield fpga_done
-
-    for i in range(p):
-        sim.process(node_main(i), name=f"node{i}")
-    elapsed = system.run()
-    return MmSimResult(
-        elapsed=elapsed,
-        config=config,
-        trace=system.trace,
-        cpu_busy=[nd.cpu_busy_time for nd in system.nodes],
-        fpga_busy=[nd.fpga.busy_time for nd in system.nodes],
-        network_bytes=system.network.bytes_moved,
-    )
+    run = des.simulate(spec, design, procs, trace, node_specs, monitor, faults)
+    return MmSimResult(config=config, **run)

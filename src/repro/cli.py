@@ -156,12 +156,23 @@ def _compare_values(args: argparse.Namespace, design, kind: str) -> tuple[dict, 
     }, None
 
 
-def _cmd_lu(args: argparse.Namespace) -> None:
+def _build_design(cls, args: argparse.Namespace):
+    """``cls`` on an XD1 of ``args.p`` nodes; None after a one-line error."""
+    try:
+        return cls(cray_xd1(p=args.p), n=args.n, b=args.b)
+    except ValueError as exc:
+        _p(f"error: {exc}")
+        return None
+
+
+def _cmd_lu(args: argparse.Namespace) -> int:
+    design = _build_design(LuDesign, args)
+    if design is None:
+        return 2
     if _obs_enabled(args):
         from .obs import Tracer, set_tracer
 
         set_tracer(Tracer())
-    design = LuDesign(cray_xd1(p=args.p), n=args.n, b=args.b)
     plan = design.plan
     _p(f"plan: b_p={plan.partition.b_p} b_f={plan.partition.b_f} l={plan.balance.l} "
        f"predicted={plan.prediction.gflops:.2f} GFLOPS")
@@ -180,14 +191,17 @@ def _cmd_lu(args: argparse.Namespace) -> None:
         _p(footer)
     if _obs_enabled(args):
         _obs_run(args, "lu", design)
+    return 0
 
 
-def _cmd_fw(args: argparse.Namespace) -> None:
+def _cmd_fw(args: argparse.Namespace) -> int:
+    design = _build_design(FwDesign, args)
+    if design is None:
+        return 2
     if _obs_enabled(args):
         from .obs import Tracer, set_tracer
 
         set_tracer(Tracer())
-    design = FwDesign(cray_xd1(p=args.p), n=args.n, b=args.b)
     plan = design.plan
     _p(f"plan: l1={plan.partition.l1} l2={plan.partition.l2} "
        f"predicted={plan.prediction.gflops:.2f} GFLOPS")
@@ -206,10 +220,13 @@ def _cmd_fw(args: argparse.Namespace) -> None:
         _p(footer)
     if _obs_enabled(args):
         _obs_run(args, "fw", design)
+    return 0
 
 
-def _cmd_plan_lu(args: argparse.Namespace) -> None:
-    design = LuDesign(cray_xd1(p=args.p), n=args.n, b=args.b)
+def _cmd_plan_lu(args: argparse.Namespace) -> int:
+    design = _build_design(LuDesign, args)
+    if design is None:
+        return 2
     part, bal = design.plan.partition, design.plan.balance
     rows = [
         ["b_p (CPU rows)", part.b_p],
@@ -225,10 +242,13 @@ def _cmd_plan_lu(args: argparse.Namespace) -> None:
         ["predicted", f"{design.plan.prediction.gflops:.2f} GFLOPS"],
     ]
     _p(table(["decision", "value"], rows, title=f"LU plan (n={args.n}, b={args.b})"))
+    return 0
 
 
-def _cmd_plan_fw(args: argparse.Namespace) -> None:
-    design = FwDesign(cray_xd1(p=args.p), n=args.n, b=args.b)
+def _cmd_plan_fw(args: argparse.Namespace) -> int:
+    design = _build_design(FwDesign, args)
+    if design is None:
+        return 2
     part = design.plan.partition
     rows = [
         ["l1 (CPU ops/phase)", part.l1],
@@ -242,6 +262,7 @@ def _cmd_plan_fw(args: argparse.Namespace) -> None:
         ["predicted", f"{design.plan.prediction.gflops:.2f} GFLOPS"],
     ]
     _p(table(["decision", "value"], rows, title=f"FW plan (n={args.n}, b={args.b})"))
+    return 0
 
 
 def _cmd_machines(args: argparse.Namespace) -> None:

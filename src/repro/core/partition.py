@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..obs.metrics import REGISTRY
 from .parameters import SystemParameters
 
@@ -33,17 +31,13 @@ _SOLVES_FW = REGISTRY.counter("partition.solves", kind="fw")
 
 __all__ = [
     "FlopSplit",
-    "FlopSplitBatch",
     "LuStripePartition",
     "FwPartition",
     "balance_flops",
-    "balance_flops_batch",
     "balance_with_transfer",
-    "balance_with_transfer_batch",
     "balance_with_network",
     "lu_stripe_partition",
     "lu_stripe_times",
-    "lu_stripe_times_batch",
     "fw_op_times",
     "fw_partition",
 ]
@@ -144,112 +138,6 @@ def balance_with_network(
         t_transfer=t_transfer,
         t_network=t_network,
     )
-
-
-# --------------------------------------------------------------------------
-# Vectorized (batch) solvers -- whole sweep grids in one array pass
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlopSplitBatch:
-    """Array-valued counterpart of :class:`FlopSplit` for sweep grids.
-
-    Every field is a float64 ndarray; element ``i`` equals the scalar
-    solver's result for the i-th grid point (identical operation order,
-    so the match is exact, not merely within tolerance).
-    """
-
-    n_p: np.ndarray
-    n_f: np.ndarray
-    t_p: np.ndarray
-    t_f: np.ndarray
-    t_transfer: np.ndarray
-    t_network: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.n_p + self.n_f
-
-    @property
-    def makespan(self) -> np.ndarray:
-        """Element-wise completion time under the overlap assumptions."""
-        return np.maximum(self.t_p + self.t_transfer + self.t_network, self.t_f)
-
-
-def _clamped_split_batch(
-    total: np.ndarray, fpga_lead: np.ndarray | float, params: SystemParameters
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``_clamped_split``: returns ``(n_p, n_f)`` arrays."""
-    cpu, fpga = params.cpu_flops, params.fpga_flops
-    n_f = (fpga_lead + total / cpu) / (1.0 / fpga + 1.0 / cpu)
-    n_f = np.minimum(np.maximum(n_f, 0.0), total)
-    return total - n_f, n_f
-
-
-def balance_flops_batch(total_flops: np.ndarray, params: SystemParameters) -> FlopSplitBatch:
-    """Vectorized :func:`balance_flops` over a grid of workloads."""
-    total = np.asarray(total_flops, dtype=np.float64)
-    if np.any(total < 0):
-        raise ValueError("negative workload in batch")
-    _SOLVES_BALANCE.inc(total.size)
-    n_p, n_f = _clamped_split_batch(total, 0.0, params)
-    zeros = np.zeros_like(total)
-    return FlopSplitBatch(
-        n_p=n_p,
-        n_f=n_f,
-        t_p=n_p / params.cpu_flops,
-        t_f=n_f / params.fpga_flops,
-        t_transfer=zeros,
-        t_network=zeros,
-    )
-
-
-def balance_with_transfer_batch(
-    total_flops: np.ndarray, d_f_bytes: np.ndarray, params: SystemParameters
-) -> FlopSplitBatch:
-    """Vectorized :func:`balance_with_transfer`; inputs broadcast together."""
-    total, d_f = np.broadcast_arrays(
-        np.asarray(total_flops, dtype=np.float64), np.asarray(d_f_bytes, dtype=np.float64)
-    )
-    if np.any(total < 0):
-        raise ValueError("negative workload in batch")
-    if np.any(d_f < 0):
-        raise ValueError("negative transfer size in batch")
-    _SOLVES_BALANCE.inc(total.size)
-    t_transfer = d_f / params.b_d  # dram_time, element-wise
-    n_p, n_f = _clamped_split_batch(total, t_transfer, params)
-    return FlopSplitBatch(
-        n_p=n_p,
-        n_f=n_f,
-        t_p=n_p / params.cpu_flops,
-        t_f=n_f / params.fpga_flops,
-        t_transfer=t_transfer,
-        t_network=np.zeros_like(total),
-    )
-
-
-def lu_stripe_times_batch(
-    b: int, b_f: np.ndarray, k: int, params: SystemParameters
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`lu_stripe_times` over a grid of ``b_f`` values.
-
-    Returns ``(t_p, t_f, t_comm, t_mem)`` arrays of ``b_f``'s shape
-    (``t_comm`` does not depend on ``b_f`` but is broadcast for uniform
-    handling by callers scanning the balance point).
-    """
-    p = params.p
-    if p < 2:
-        raise ValueError(f"the LU design needs p >= 2 nodes, got {p}")
-    b_f = np.asarray(b_f, dtype=np.float64)
-    if np.any((b_f < 0) | (b_f > b)):
-        raise ValueError(f"b_f out of range [0, {b}] in batch")
-    b_p = b - b_f
-    t_comm = np.full(b_f.shape, 2.0 * b * k * params.b_w / params.b_n)
-    t_mem = (b_f * k + b * k / (p - 1)) * params.b_w / params.b_d
-    t_p = 2.0 * b_p * b * k / ((p - 1) * params.cpu_flops)
-    t_f = b_f * b / ((p - 1) * params.f_f)
-    return t_p, t_f, t_comm, t_mem
 
 
 # --------------------------------------------------------------------------
@@ -436,9 +324,15 @@ def fw_partition(n: int, b: int, k: int, params: SystemParameters) -> FwPartitio
     t_p, t_f, t_comm, t_mem = fw_op_times(b, k, params)
     # l1 (T_p + T_f - T_mem) = total (T_f - T_mem) - T_comm
     effective = t_f - t_mem
-    l1_exact = (total * effective - t_comm) / (t_p + effective)
-    l1 = int(round(l1_exact))
-    l1 = min(max(l1, 0), total)
+    if t_p + effective > 0.0:
+        l1_exact = (total * effective - t_comm) / (t_p + effective)
+        l1 = min(max(int(round(l1_exact)), 0), total)
+    else:
+        # Both sides of Eq. (6) fall as l1 grows (each op is cheaper on
+        # the processor than staging it), so the phase is shortest at
+        # the all-processor split.
+        l1_exact = float(total)
+        l1 = total
     return FwPartition(
         l1=l1,
         l2=total - l1,

@@ -36,6 +36,16 @@ class FpgaSpec:
         if self.dram_link_bandwidth <= 0 or self.sram_link_bandwidth <= 0:
             raise ValueError("link bandwidths must be positive")
 
+    def effective_dram_bandwidth(self, freq_hz: float) -> float:
+        """B_d for a design clocked at ``freq_hz``: one word per design
+        cycle, capped by the hardware link.
+
+        On XD1 the RapidArray path tops out at 2.8 GB/s but the designs
+        consume one 8-byte word per cycle, so B_d = 8 * F_f (1.04 GB/s at
+        130 MHz) -- exactly the paper's Section 6.1 accounting.
+        """
+        return min(8.0 * freq_hz, self.dram_link_bandwidth)
+
 
 class FpgaFabric:
     """A live FPGA: exclusive compute lane + a loaded design."""
@@ -82,13 +92,8 @@ class FpgaFabric:
 
     @property
     def effective_dram_bandwidth(self) -> float:
-        """B_d: one word per design cycle, capped by the hardware link.
-
-        On XD1 the RapidArray path tops out at 2.8 GB/s but the designs
-        consume one 8-byte word per cycle, so B_d = 8 * F_f (1.04 GB/s at
-        130 MHz) -- exactly the paper's Section 6.1 accounting.
-        """
-        return min(8.0 * self.freq_hz, self.spec.dram_link_bandwidth)
+        """B_d of the loaded design (see :meth:`FpgaSpec.effective_dram_bandwidth`)."""
+        return self.spec.effective_dram_bandwidth(self.freq_hz)
 
     # -- execution -----------------------------------------------------------
 

@@ -45,13 +45,12 @@ class MachineSpec:
         ``kernel`` selects the processor's sustained rate; ``design`` (a
         synthesised FPGA design) supplies O_f, F_f and B_d.
         """
-        b_d = min(8.0 * design.freq_hz, self.node.fpga.dram_link_bandwidth)
         return SystemParameters(
             p=self.p,
             o_f=design.ops_per_cycle,
             f_f=design.freq_hz,
             cpu_flops=self.node.processor.sustained_flops(kernel),
-            b_d=b_d,
+            b_d=self.node.fpga.effective_dram_bandwidth(design.freq_hz),
             b_n=self.network.bandwidth,
             f_p=self.node.processor.clock_hz,
             sram_bytes=sram_bytes if sram_bytes is not None else self.node.sram.capacity_bytes,

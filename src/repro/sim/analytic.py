@@ -5,16 +5,17 @@ grant in the discrete-event simulation is either immediate or ordered by
 strict FIFO arrival, so the makespan is a deterministic function of the
 partition/machine parameters and can be computed by replaying the
 schedule's arithmetic directly -- same floating-point operations, same
-order -- without event objects, generato-driven processes or a calendar
+order -- without event objects, generator-driven processes or a calendar
 queue.  The result is **bitwise identical** to the DES on every point
 the fast path accepts, at a fraction of the cost.
 
 Two layers live here:
 
-* :class:`Replay` -- a chronological replay engine for schedules that do
-  queue on resources (the LU pipeline).  It keeps per-resource FIFO
-  queues and a single time-ordered heap, but no event/process objects.
-  A built-in *ambiguity detector* refuses (raises
+* :class:`Replay` -- runs the apps' op streams, the same streams the
+  DES interpreter :func:`repro.apps.des.simulate` executes (the op
+  vocabulary is tabled in docs/simulator.md).  It keeps per-resource
+  FIFO queues and a single time-ordered heap, but no event/process
+  objects.  A built-in *ambiguity detector* refuses (raises
   :class:`FastPathUnsupported`) whenever two same-timestamp acquisitions
   from different spawn bursts hit the same FIFO queue and at least one
   of them has to wait -- the only situation in which the DES outcome
@@ -249,31 +250,30 @@ class _Tok:
         self.gen = gen  # generator resumed inline for single sends
 
 
+class _Rates(dict):
+    """Sustained flops/s per kernel, looked up on first use."""
+
+    def __init__(self, processor) -> None:
+        super().__init__()
+        self.processor = processor
+
+    def __missing__(self, kernel: str) -> float:
+        rate = self[kernel] = self.processor.sustained_flops(kernel)
+        return rate
+
+
 class Replay:
-    """Chronological replay of a DES schedule without event objects.
+    """Chronological replay of an op stream without event objects.
 
-    Schedules are plain generators yielding *ops* (tuples); the engine
-    drives each generator with :meth:`advance` and orders everything on
-    one ``(time, seq)`` heap.  Supported ops:
-
-    ``("cpu", i, dur)``
-        Hold node *i*'s CPU lane for ``dur``; busy time accrues as
-        ``end - start`` exactly like ``Node.cpu_occupy``.
-    ``("chan", i, dur)``
-        Hold node *i*'s DRAM-to-FPGA channel for ``dur``.
-    ``("fpga_spawn", i, dur, key)``
-        Non-blocking FPGA job; sets ``key`` when it completes.
-    ``("send", src, dst, svc, size, key, tie)``
-        One network transfer; the generator resumes at completion
-        (mirrors a blocking ``comm.send``).  ``tie`` tags the
-        transfer's tie class (see below).
-    ``("send_batch", src, dsts, svc, size, keys)``
-        A burst of concurrent transfers spawned at one instant; the
-        generator resumes when all complete (``all_of`` over sends).
-    ``("wait", key)`` / ``("wait_all", keys)``
-        Block until the named completion events are set.
-    ``("set", key)``
-        Set a completion event immediately.
+    Runs the same op streams as the DES interpreter
+    (:func:`repro.apps.des.simulate`; the op vocabulary is tabled in
+    docs/simulator.md).  Each stream is a generator; the engine drives it with
+    :meth:`advance` and orders everything on one ``(time, seq)`` heap.
+    Durations come from the op fields with the DES's own arithmetic and
+    the machine's uniform rates: CPU ``flops / sustained_flops(kernel)``,
+    channel ``0.0 + bytes / B_d``, link ``latency + int(bytes) / B_n``,
+    FPGA ``cycles / F_f``.  A message is keyed ``(src, dst, tag)``;
+    ``recv`` is a wait on that key.
 
     The ambiguity detector lives in :meth:`_acq`: two same-timestamp
     acquisitions of one queue are allowed only if both are granted
@@ -285,7 +285,15 @@ class Replay:
     nothing.
     """
 
-    def __init__(self, p: int, links: int) -> None:
+    def __init__(self, spec, design) -> None:
+        p = spec.p
+        net = spec.network
+        links = net.links_per_node
+        self.latency = net.latency
+        self.bandwidth = net.bandwidth
+        self.freq = design.freq_hz
+        self.b_d = spec.node.fpga.effective_dram_bandwidth(self.freq)
+        self.rates = _Rates(spec.node.processor)
         self.heap: list = []
         self.seq = 0
         self.egress = [_Q(links) for _ in range(p)]
@@ -299,10 +307,26 @@ class Replay:
         self.cpu_busy = [0.0] * p
         self.fpga_busy = [0.0] * p
         self.net_bytes = 0.0
-        self.msg_count = 0
         self.events: dict = {}  # key -> completion time
         self.waiters: dict = {}  # key -> [countdown, gen, park_t] cells
         self.max_t = 0.0
+
+    def play(self, procs) -> dict:
+        """Run ``(name, stream)`` processes in spawn order.
+
+        Returns the result fields the apps share with the DES
+        (``elapsed``, ``trace``, ``cpu_busy``, ``fpga_busy``,
+        ``network_bytes``).
+        """
+        for _name, ops in procs:
+            self.advance(ops, 0.0)
+        return {
+            "elapsed": self.run(),
+            "trace": None,
+            "cpu_busy": self.cpu_busy,
+            "fpga_busy": self.fpga_busy,
+            "network_bytes": self.net_bytes,
+        }
 
     # -- queues ---------------------------------------------------------
 
@@ -341,8 +365,8 @@ class Replay:
                 i, gen, dur = data
                 self._push(t + dur, "c", (i, gen, t))
             elif kind == 3:  # fpga waiter
-                i, key, dur = data
-                self._push(t + dur, "f", (i, key, t))
+                i, key, dur, rem = data
+                self._push(t + dur, "f", (i, key, t, dur, rem))
             else:  # chan waiter
                 i, gen, dur = data
                 self._push(t + dur, "h", (i, gen, t))
@@ -350,6 +374,13 @@ class Replay:
     def _push(self, t: float, kind: str, data) -> None:
         self.seq += 1
         heappush(self.heap, (t, self.seq, kind, data))
+
+    def _fpga_job(self, i: int, key, dur: float, rem: int, t: float) -> None:
+        q = self.fpga[i]
+        if self._acq(q, t, None):
+            self._push(t + dur, "f", (i, key, t, dur, rem))
+        else:
+            q.q.append((3, (i, key, dur, rem)))
 
     # -- transfers ------------------------------------------------------
 
@@ -400,6 +431,7 @@ class Replay:
         if t > self.max_t:
             self.max_t = t
         step = gen.__next__
+        events = self.events
         while True:
             try:
                 op = step()
@@ -407,55 +439,70 @@ class Replay:
                 return
             code = op[0]
             if code == "cpu":
-                _, i, dur = op
+                i = op[1]
+                dur = op[3] / self.rates[op[2]]
                 q = self.lane[i]
                 if self._acq(q, t, None):
                     self._push(t + dur, "c", (i, gen, t))
                 else:
                     q.q.append((2, (i, gen, dur)))
                 return
-            elif code == "wait":
-                r = self._wait_keys(gen, (op[1],), t)
-                if r is None:
+            elif code == "recv" or code == "wait":
+                key = (op[2], op[1], op[3]) if code == "recv" else op[1]
+                done = events.get(key)
+                if done is None:
+                    self.waiters.setdefault(key, []).append([1, gen, t])
                     return
-                t = r
-                if t > self.max_t:
-                    self.max_t = t
-            elif code == "wait_all":
-                r = self._wait_keys(gen, op[1], t)
-                if r is None:
-                    return
-                t = r
-                if t > self.max_t:
-                    self.max_t = t
-            elif code == "set":
-                self._set(op[1], t)
+                if done > t:
+                    t = done
+                    if t > self.max_t:
+                        self.max_t = t
             elif code == "chan":
-                _, i, dur = op
+                i = op[1]
+                dur = 0.0 + op[2] / self.b_d
                 q = self.chan[i]
                 if self._acq(q, t, None):
                     self._push(t + dur, "h", (i, gen, t))
                 else:
                     q.q.append((4, (i, gen, dur)))
                 return
+            elif code == "set":
+                self._set(op[1], t)
+            elif code == "fpga":
+                _, i, cycles, _flops, repeat, key, _label = op
+                self._fpga_job(i, key, cycles / self.freq, repeat, t)
             elif code == "send":
-                _, src, dst, svc, size, key, tie = op
-                self._start_transfer(_Tok(src, dst, svc, size, key, tie, None, gen), t)
+                _, src, dst, nbytes, tag, tie = op
+                size = int(nbytes)
+                svc = self.latency + size / self.bandwidth
+                self._start_transfer(
+                    _Tok(src, dst, svc, size, (src, dst, tag), tie, None, gen), t
+                )
                 return
             elif code == "send_batch":
-                _, src, dsts, svc, size, keys = op
+                _, src, dsts, nbytes, tag = op
+                if not dsts:
+                    continue
+                size = int(nbytes)
+                svc = self.latency + size / self.bandwidth
                 burst = object()
                 group = [len(dsts), gen]
-                for dst, key in zip(dsts, keys):
-                    self._start_transfer(_Tok(src, dst, svc, size, key, burst, group, None), t)
+                for dst in dsts:
+                    self._start_transfer(
+                        _Tok(src, dst, svc, size, (src, dst, tag), burst, group, None), t
+                    )
                 return
-            elif code == "fpga_spawn":
-                _, i, dur, key = op
-                q = self.fpga[i]
-                if self._acq(q, t, None):
-                    self._push(t + dur, "f", (i, key, t))
-                else:
-                    q.q.append((3, (i, key, dur)))
+            elif code == "wait_all":
+                keys = op[1]
+                if len(op) > 2:
+                    dst = op[2]
+                    keys = [k if s is None else (s, dst, k) for k, s in zip(keys, op[3])]
+                r = self._wait_keys(gen, keys, t)
+                if r is None:
+                    return
+                t = r
+                if t > self.max_t:
+                    self.max_t = t
             else:  # pragma: no cover - schedule author error
                 raise AssertionError(f"unknown replay op {code!r}")
 
@@ -476,9 +523,7 @@ class Replay:
                 self._rel(self.ingress[tok.dst], t)
                 self._rel(self.egress[tok.src], t)
                 self.net_bytes += tok.size
-                self.msg_count += 1
-                if tok.key is not None:
-                    self._set(tok.key, t)
+                self._set(tok.key, t)
                 if tok.gen is not None:
                     self.advance(tok.gen, t)
                 else:
@@ -492,9 +537,12 @@ class Replay:
                 i, gen, start = data
                 self._rel(self.chan[i], t)
                 self.advance(gen, t)
-            else:  # "f": fpga job ends
-                i, key, start = data
+            else:  # "f": one fpga run ends
+                i, key, start, dur, rem = data
                 self._rel(self.fpga[i], t)
                 self.fpga_busy[i] += t - start
-                self._set(key, t)
+                if rem > 1:
+                    self._fpga_job(i, key, dur, rem - 1, t)
+                else:
+                    self._set(key, t)
         return self.max_t

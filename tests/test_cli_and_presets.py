@@ -53,6 +53,22 @@ def test_cli_requires_command():
         main([])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lu", "--n", "100", "--b", "30"], "b=30 must divide n=100"),
+        (["lu", "--p", "1"], "the LU design needs p >= 2 nodes, got 1"),
+        (["fw", "--n", "100", "--b", "30"], "b=30 must divide n=100"),
+        (["plan-lu", "--n", "100", "--b", "30"], "b=30 must divide n=100"),
+        (["plan-fw", "--p", "0"], "p must be >= 1, got 0"),
+    ],
+)
+def test_cli_bad_design_arguments_give_one_line_error(capsys, argv, message):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out == f"error: {message}\n"
+
+
 # ------------------------------------------------------------------ presets
 
 

@@ -1,5 +1,7 @@
 """Tests for the partition solvers (Equations 1, 2, 4, 6)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -198,6 +200,21 @@ def test_fw_partition_all_fpga_when_cpu_is_useless():
     part = fw_partition(18432, 256, 8, fw_params(cpu_flops=1e3))
     assert part.l1 == 0
     assert part.l2 == 12
+
+
+@pytest.mark.parametrize("cpu_flops", [2e8, 4e8])
+def test_fw_partition_all_cpu_when_eq6_denominator_not_positive(cpu_flops):
+    """t_p + t_f == t_mem (2e8) or < t_mem (4e8): Eq. (6) has no balance
+    point; both sides fall as l1 grows, so the all-processor split wins."""
+    params = SystemParameters(p=2, o_f=4, f_f=1e8, cpu_flops=cpu_flops, b_d=4e8, b_n=1e9)
+    part = fw_partition(8, 2, 2, params)
+    assert part.t_p + part.t_f - part.t_mem <= 0.0
+    assert (part.l1, part.l2) == (2, 0)
+    assert part.l1_exact == 2.0
+    splits = [
+        dataclasses.replace(part, l1=l1, l2=2 - l1).phase_makespan for l1 in range(3)
+    ]
+    assert part.phase_makespan == min(splits)
 
 
 def test_fw_partition_mostly_cpu_when_fpga_slow():

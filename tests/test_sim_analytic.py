@@ -16,15 +16,19 @@ import pytest
 
 from repro.apps.fw import FwSimConfig, simulate_fw
 from repro.apps.fw.analytic import analytic_fw_batch
+from repro.apps.fw.simulate import fw_schedule
 from repro.apps.lu import LuSimConfig, simulate_block_mm, simulate_lu
-from repro.apps.lu.analytic import analytic_block_mm, analytic_block_mm_batch
-from repro.apps.mm.simulate import MmSimConfig, simulate_mm
+from repro.apps.lu.analytic import analytic_block_mm, analytic_block_mm_batch, analytic_lu
+from repro.apps.lu.simulate import block_mm_schedule
+from repro.apps.mm.simulate import MmSimConfig, mm_schedule, simulate_mm
+from repro.hw import FloydWarshallDesign, MatrixMultiplyDesign
 from repro.machine import ALL_PRESETS
 from repro.obs.metrics import REGISTRY
 from repro.sim import SimMonitor
 from repro.sim.analytic import (
     FAST_PATH_ENV_VAR,
     FastPathUnsupported,
+    Replay,
     fast_path_refusal,
     fastpath_summary,
     resolve_fast_path,
@@ -342,3 +346,111 @@ def test_ledger_experiments_entry_carries_fast_path(tmp_path):
     )
     stored = RunLedger(tmp_path / "ledger.jsonl").append(entry)
     assert stored["fast_path"] == {"analytic": 16, "des": 0, "fallback": {}}
+
+
+# -----------------------------------------------------------------------
+# cross-preset fuzz: fast path == DES, Replay over op streams == folds,
+# traced DES == untraced DES
+# -----------------------------------------------------------------------
+
+
+def _fields(res):
+    return (res.elapsed, res.cpu_busy, res.fpga_busy, res.network_bytes)
+
+
+def _run_fields(run):
+    return (run["elapsed"], run["cpu_busy"], run["fpga_busy"], run["network_bytes"])
+
+
+def _assert_traced_matches(simulate, spec, cfg, des):
+    traced = simulate(spec, cfg, trace=True)
+    assert traced.trace is not None
+    assert _fields(traced) == _fields(des)
+
+
+def _fuzz_lu(rng, spec):
+    b = rng.choice((240, 480, 960))
+    cfg = LuSimConfig(
+        n=b * rng.choice((2, 3)),
+        b=b,
+        k=8,
+        b_f=rng.randint(0, b // 8) * 8,
+        l=rng.randint(0, 4),
+        superstripes=rng.choice((1, 2, 4, 8)),
+        overlap=rng.random() < 0.75,
+        collect_results=rng.random() < 0.75,
+        iterations=rng.choice((1, None)),
+    )
+    des = simulate_lu(spec, cfg, fast_path="off")
+    try:
+        ana = analytic_lu(spec, cfg)
+    except FastPathUnsupported:
+        ana = None
+    else:
+        assert _fields(ana) == _fields(des), cfg
+        assert _fields(simulate_lu(spec, cfg, fast_path="on")) == _fields(des)
+    _assert_traced_matches(simulate_lu, spec, cfg, des)
+    return ana is not None
+
+
+def _fuzz_fw(rng, spec):
+    b = rng.choice((64, 128))
+    ops = rng.randint(1, 3)
+    l1 = rng.randint(0, ops)
+    cfg = FwSimConfig(
+        n=b * ops * spec.p,
+        b=b,
+        k=8,
+        l1=l1,
+        l2=ops - l1,
+        overlap=rng.random() < 0.75,
+        aggregate_ops=rng.random() < 0.5,
+        iterations=None if ops * spec.p <= 6 and rng.random() < 0.5 else 1,
+    )
+    des = simulate_fw(spec, cfg, fast_path="off")
+    fold = simulate_fw(spec, cfg, fast_path="on")
+    assert _fields(fold) == _fields(des), cfg
+    design = FloydWarshallDesign.for_device(spec.node.fpga.device, k=cfg.k)
+    replay = Replay(spec, design).play(fw_schedule(spec, cfg, design))
+    assert _run_fields(replay) == _fields(fold), cfg
+    _assert_traced_matches(simulate_fw, spec, cfg, des)
+
+
+def _fuzz_mm(rng, spec):
+    r = rng.choice((64, 128))
+    cfg = MmSimConfig(
+        n=spec.p * r, k=8, m_f=rng.randint(0, r // 8) * 8, overlap=rng.random() < 0.75
+    )
+    des = simulate_mm(spec, cfg, fast_path="off")
+    fold = simulate_mm(spec, cfg, fast_path="on")
+    assert _fields(fold) == _fields(des), cfg
+    design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=cfg.k)
+    replay = Replay(spec, design).play(mm_schedule(spec, cfg))
+    assert _run_fields(replay) == _fields(fold), cfg
+    _assert_traced_matches(simulate_mm, spec, cfg, des)
+
+
+def _fuzz_block_mm(rng, spec):
+    b = rng.choice((240, 480))
+    b_f = rng.randint(0, b // 8) * 8
+    des = simulate_block_mm(spec, b, b_f, 8, fast_path="off")
+    fold = simulate_block_mm(spec, b, b_f, 8, fast_path="on")
+    assert fold == des, (b, b_f)
+    design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
+    replay = Replay(spec, design).play(block_mm_schedule(spec, b, b_f, 8))
+    assert replay["elapsed"] == fold
+    assert simulate_block_mm(spec, b, b_f, 8, trace=True) == des
+
+
+@pytest.mark.parametrize("preset", sorted(ALL_PRESETS))
+def test_cross_preset_fuzz(preset):
+    spec = ALL_PRESETS[preset]()
+    rng = random.Random(f"fuzz-{preset}")
+    for _ in range(16):
+        _fuzz_fw(rng, spec)
+        _fuzz_mm(rng, spec)
+    if spec.p >= 2:
+        accepted = sum(_fuzz_lu(rng, spec) for _ in range(16))
+        assert accepted >= 8  # most draws reach the LU fast path
+        for _ in range(8):
+            _fuzz_block_mm(rng, spec)
