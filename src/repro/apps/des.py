@@ -8,7 +8,8 @@ Every app writes its schedule once, as op streams: a list of
 :class:`~repro.machine.node.ComputeNode` and
 :class:`~repro.mpi.Communicator`, with traces, monitors, faults and
 per-node ``node_specs``) and :class:`repro.sim.analytic.Replay` (the
-event-free fast path).  Ops carry quantities, never durations, so each
+event-free fast path, which also takes t=0 steady rate faults and DMA
+stalls).  Ops carry quantities, never durations, so each
 engine derives time with its own rates.  docs/simulator.md ("How the
 schedules use it") tables each op, its fields, and which engine reads
 which field.

@@ -12,7 +12,9 @@ order, including the ``end - start`` busy-time accounting -- so every
 field of the returned :class:`FwSimResult` is bitwise identical.  The
 op streams are the reference: ``Replay`` over ``fw_schedule`` gives the
 same results at over ten times the cost, so the fold stays the fast
-path and the tests hold it to the streams.
+path and the tests hold it to the streams.  A faulted run (t=0 steady
+rates, DMA stalls) has no closed form: :func:`analytic_fw` replays the
+streams on ``Replay`` instead.
 
 :func:`analytic_fw_batch` vectorises the fold over a whole
 ``(l1, l2)`` split grid (the Figure 7 sweep) in one NumPy pass with
@@ -26,8 +28,8 @@ from typing import Optional, Sequence
 
 from ...hw.fw_design import FloydWarshallDesign
 from ...machine.system import MachineSpec
-from ...sim.analytic import FastPathUnsupported
-from .simulate import FwSimConfig, FwSimResult, _fw_layout, _iterations_run
+from ...sim.analytic import FastPathUnsupported, Replay
+from .simulate import FwSimConfig, FwSimResult, _fw_layout, _iterations_run, fw_schedule
 
 __all__ = ["analytic_fw", "analytic_fw_batch"]
 
@@ -56,8 +58,19 @@ def analytic_fw(
     spec: MachineSpec,
     config: FwSimConfig,
     design: Optional[FloydWarshallDesign] = None,
+    faults: Optional[object] = None,
 ) -> FwSimResult:
-    """Replay the FW schedule without a DES (bitwise exact)."""
+    """Replay the FW schedule without a DES (bitwise exact).
+
+    With ``faults`` (a :class:`repro.faults.FaultInjector`) the op
+    streams run on :class:`~repro.sim.analytic.Replay`, which refuses
+    what it cannot reproduce with reason ``faults``.
+    """
+    if faults is not None:
+        if design is None:
+            design = FloydWarshallDesign.for_device(spec.node.fpga.device, k=config.k)
+        run = Replay(spec, design, faults).play(fw_schedule(spec, config, design))
+        return FwSimResult(iterations_run=_iterations_run(config), config=config, **run)
     design, layout, block_bytes, svc, op_cycles, op_flops, freq, b_d, rate = _fw_params(
         spec, config, design
     )

@@ -201,11 +201,11 @@ def fw_schedule(
     return [(f"node{i}", node_main(i)) for i in range(p)]
 
 
-def _analytic_fw(spec, config, design):
+def _analytic_fw(spec, config, design, faults):
     # Deferred import: .analytic imports this module's config/result types.
     from .analytic import analytic_fw
 
-    return analytic_fw(spec, config, design)
+    return analytic_fw(spec, config, design, faults)
 
 
 def simulate_fw(
@@ -229,17 +229,18 @@ def simulate_fw(
     ``fast_path`` selects the analytic no-contention fast path
     (``"auto"`` / ``"on"`` / ``"off"``; None = process default); see
     :mod:`repro.sim.analytic`.  Analytic results are bitwise identical.
+    A faulted run replays the op streams (t=0 steady rates, DMA stalls)
+    and refuses the rest with reason ``faults``.
     """
     from ...sim.analytic import try_fast_path
 
     fast = try_fast_path(
         "fw",
-        lambda: _analytic_fw(spec, config, design),
+        lambda: _analytic_fw(spec, config, design, faults),
         mode=fast_path,
         trace=trace,
         node_specs=node_specs,
         monitor=monitor,
-        faults=faults,
     )
     if fast is not None:
         return fast

@@ -39,16 +39,20 @@ def analytic_lu(
     spec: MachineSpec,
     config: LuSimConfig,
     design: Optional[MatrixMultiplyDesign] = None,
+    faults: Optional[object] = None,
 ) -> LuSimResult:
     """Replay the distributed LU schedule without a DES (bitwise exact).
 
+    ``faults`` is an optional :class:`repro.faults.FaultInjector` (see
+    :class:`~repro.sim.analytic.Replay` for what it may contain).
     Raises :class:`repro.sim.analytic.FastPathUnsupported` when the
     schedule hits an ambiguous same-time resource tie (then only the
-    DES's micro-ordering can decide the outcome).
+    DES's micro-ordering can decide the outcome) or the faults are not
+    replayable.
     """
     if design is None:
         design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=config.k)
-    return _lu_result(config, Replay(spec, design).play(lu_schedule(spec, config)))
+    return _lu_result(config, Replay(spec, design, faults).play(lu_schedule(spec, config)))
 
 
 def _block_mm_params(spec: MachineSpec, b: int, k: int, design, stripes):

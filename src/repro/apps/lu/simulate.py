@@ -344,11 +344,11 @@ def _lu_result(config: LuSimConfig, run: dict) -> LuSimResult:
     return LuSimResult(useful_flops=(2.0 / 3.0) * float(config.n) ** 3, config=config, **run)
 
 
-def _analytic_lu(spec, config, design):
+def _analytic_lu(spec, config, design, faults):
     # Deferred import: .analytic imports this module's schedules.
     from .analytic import analytic_lu
 
-    return analytic_lu(spec, config, design)
+    return analytic_lu(spec, config, design, faults)
 
 
 def _analytic_block_mm(spec, b, b_f, k, design, stripes):
@@ -380,17 +380,18 @@ def simulate_lu(
     ``"auto"`` (bitwise-identical analytic replay when eligible, DES
     otherwise), ``"on"`` (raise if ineligible), ``"off"`` (always DES),
     or None for the process default (``REPRO_FAST_PATH``, else auto).
+    The replay takes ``faults`` too (t=0 steady rates, DMA stalls) and
+    refuses the rest with reason ``faults``.
     """
     from ...sim.analytic import try_fast_path
 
     fast = try_fast_path(
         "lu",
-        lambda: _analytic_lu(spec, config, design),
+        lambda: _analytic_lu(spec, config, design, faults),
         mode=fast_path,
         trace=trace,
         node_specs=node_specs,
         monitor=monitor,
-        faults=faults,
     )
     if fast is not None:
         return fast

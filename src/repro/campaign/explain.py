@@ -119,7 +119,9 @@ def run_traced(task: dict[str, Any]) -> dict[str, Any]:
     Unlike :class:`~repro.campaign.runner.DesignRunner` (which keeps
     only the makespan), this keeps the whole trace and reduces it to
     the three views :func:`repro.obs.explain.build_explain` diffs:
-    critical path, per-lane busy time, per-activity busy time.
+    critical path, per-lane busy time, per-activity busy time.  The
+    traced run is a DES run; its makespan equals the untraced
+    replicate's (which may have taken the analytic fast path) bitwise.
     """
     design = build_design(
         task["app"], task.get("preset", "xd1"), task.get("n"), task.get("b")

@@ -30,14 +30,23 @@ under the engine's FIFO tie-breaking; the scenario timeline itself is
 seeded (see :meth:`FaultScenario.expand`).  Same scenario + same
 machine + same schedule => the bitwise-same makespan, trace and
 injection log.
+
+:meth:`FaultInjector.install_replay` is the fast-path twin of
+:meth:`~FaultInjector.install`: it hooks the scenario into the analytic
+:class:`~repro.sim.analytic.Replay` instead of a live system.  Steady
+rate faults (``at == 0``, no duration, every node) scale the engine's
+scalar rates with the same arithmetic; DMA stalls become FIFO holds on
+the B_d channel queues.  Everything else refuses the fast path with
+reason ``faults``, and the DES runs the scenario as above.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..machine.system import ReconfigurableSystem
+from ..sim.analytic import FastPathUnsupported
 from .scenarios import FaultEvent, FaultScenario
 
 __all__ = ["FaultInjector", "NodeFailureError"]
@@ -81,16 +90,16 @@ class FaultInjector:
     ``exclude-node`` runs where the failed node was already removed from
     the machine.
 
-    One injector serves one run: :meth:`install` may be called once.
-    The ``injected`` list is the deterministic event log
-    (``{"t", "kind", "phase", "node", "factor", "duration"}`` dicts in
-    application order).
+    One injector serves one run: :meth:`install` (or its fast-path twin
+    :meth:`install_replay`) may be used once.  The ``injected`` list is
+    the deterministic event log (``{"t", "kind", "phase", "node",
+    "factor", "duration"}`` dicts in application order).
     """
 
     def __init__(self, scenario: FaultScenario, fail_fast: bool = True) -> None:
         self.scenario = scenario
         self.fail_fast = fail_fast
-        self.system: Optional[ReconfigurableSystem] = None
+        self.system: Optional[ReconfigurableSystem] = None  # or the Replay it ran on
         self.injected: list[dict[str, Any]] = []
         self._factors: dict[tuple, list[float]] = {}
         self._base: dict[tuple, float] = {}
@@ -110,10 +119,7 @@ class FaultInjector:
         sim = system.sim
         p = system.p
         for event in self.scenario.expand():
-            if event.node is not None and not 0 <= event.node < p:
-                raise ValueError(
-                    f"fault event targets node {event.node}, but the machine has p={p}"
-                )
+            _check_node(event, p)
             if event.kind == "node_failure":
                 if self.fail_fast:
                     sim.process(
@@ -123,7 +129,7 @@ class FaultInjector:
                     self._log(event, "suppressed", event.at, node=event.node)
                 continue
             if event.kind == "dma_stall":
-                for i in self._nodes_of(event):
+                for i in _nodes_of(event, p):
                     if system.nodes[i].fpga_dram is None:
                         raise RuntimeError(
                             f"node {i}: FPGA not configured; install the injector "
@@ -140,6 +146,57 @@ class FaultInjector:
             else:
                 sim.process(self._window(event), name=f"fault:{event.kind}")
         return self
+
+    def install_replay(self, replay) -> Callable[[list], None]:
+        """Hook the scenario into an analytic ``Replay`` (the fast path).
+
+        The twin of :meth:`install` for
+        :class:`~repro.sim.analytic.Replay`, called from its constructor.
+        Steady rate faults scale the engine's ``bandwidth`` (B_n), ``b_d``
+        (sized from the nominal clock, as ``configure_fpgas`` sizes the
+        DES channel) and ``freq`` (F_f) as ``base * f1 * f2 ...`` in
+        timeline order, exactly as :meth:`_set` does; each ``dma_stall``
+        becomes one :meth:`Replay.hold` per targeted node, in the order
+        :meth:`install` spawns the stall processes.
+
+        Raises :class:`~repro.sim.analytic.FastPathUnsupported` (reason
+        ``faults``) for what the replay cannot reproduce: node failures
+        and windowed, delayed or per-node rate faults.  Nothing is
+        recorded until the replay succeeds: the returned ``commit(log)``
+        takes the engine's stall log, ``(event, phase, t, node)`` tuples
+        in DES order, marks the injector used and fills :attr:`injected`
+        with the entries the DES run logs.  A refused or abandoned replay
+        leaves the injector ready for the DES.
+        """
+        if self.system is not None:
+            raise RuntimeError("FaultInjector already installed; use one per run")
+        timeline = self.scenario.expand()
+        for event in timeline:
+            _check_node(event, replay.p)
+        for event in timeline:
+            if not (event.kind == "dma_stall" or _steady_everywhere(event)):
+                raise FastPathUnsupported(
+                    f"the fast path cannot replay {event!r}", reason="faults"
+                )
+        factors: dict[str, list[float]] = {}
+        applied = []
+        for event in timeline:
+            if event.kind == "dma_stall":
+                for i in _nodes_of(event, replay.p):
+                    replay.hold(i, event.at, event.duration, event)
+            else:
+                factors.setdefault(event.kind, []).append(event.factor)
+                applied.append(_entry(event, "apply", 0.0))
+        replay.bandwidth = _scaled(replay.bandwidth, factors.get("link_slowdown", ()))
+        replay.b_d = _scaled(replay.b_d, factors.get("dram_contention", ()))
+        replay.freq = _scaled(replay.freq, factors.get("fpga_throttle", ()))
+
+        def commit(log: list) -> None:
+            self.system = replay
+            self.injected.extend(applied)
+            self.injected.extend(_entry(e, phase, t, node) for e, phase, t, node in log)
+
+        return commit
 
     # -- fault processes ------------------------------------------------
 
@@ -177,13 +234,10 @@ class FaultInjector:
 
     # -- perturbation mechanics -----------------------------------------
 
-    def _nodes_of(self, event: FaultEvent) -> range | tuple[int, ...]:
-        return range(self.system.p) if event.node is None else (event.node,)
-
     def _targets(self, event: FaultEvent) -> list[tuple]:
         if event.kind == "link_slowdown":
             return [("net",)]
-        return [(event.kind, i) for i in self._nodes_of(event)]
+        return [(event.kind, i) for i in _nodes_of(event, self.system.p)]
 
     def _apply(self, event: FaultEvent) -> None:
         for key in self._targets(event):
@@ -202,7 +256,7 @@ class FaultInjector:
         if key == ("net",):
             if key not in self._base:
                 self._base[key] = system.network.spec.bandwidth
-            value = self._scaled(key, factors)
+            value = _scaled(self._base[key], factors)
             system.network.spec = dataclasses.replace(system.network.spec, bandwidth=value)
             return
         kind, i = key
@@ -213,7 +267,7 @@ class FaultInjector:
                 fabric.design = _ThrottledDesign(fabric.design)
             if key not in self._base:
                 self._base[key] = fabric.design.base_freq_hz
-            fabric.design.freq_hz = self._scaled(key, factors)
+            fabric.design.freq_hz = _scaled(self._base[key], factors)
         elif kind == "dram_contention":
             if node.fpga_dram is None:
                 raise RuntimeError(
@@ -222,31 +276,16 @@ class FaultInjector:
                 )
             if key not in self._base:
                 self._base[key] = node.fpga_dram.bandwidth
-            node.fpga_dram.bandwidth = self._scaled(key, factors)
+            node.fpga_dram.bandwidth = _scaled(self._base[key], factors)
         else:  # pragma: no cover - _targets only emits the keys above
             raise ValueError(f"unknown perturbation target {key!r}")
-
-    def _scaled(self, key: tuple, factors: list[float]) -> float:
-        value = self._base[key]
-        for factor in factors:
-            value *= factor
-        return value
 
     # -- bookkeeping ----------------------------------------------------
 
     def _log(
         self, event: FaultEvent, phase: str, t: float, node: Optional[int] = None
     ) -> None:
-        self.injected.append(
-            {
-                "t": t,
-                "kind": event.kind,
-                "phase": phase,
-                "node": event.node if node is None else node,
-                "factor": event.factor,
-                "duration": event.duration,
-            }
-        )
+        self.injected.append(_entry(event, phase, t, node))
         trace = self.system.sim.trace
         if trace is not None:
             trace.record(
@@ -257,3 +296,39 @@ class FaultInjector:
                 factor=event.factor,
                 node=event.node if node is None else node,
             )
+
+
+def _check_node(event: FaultEvent, p: int) -> None:
+    if event.node is not None and not 0 <= event.node < p:
+        raise ValueError(f"fault event targets node {event.node}, but the machine has p={p}")
+
+
+def _nodes_of(event: FaultEvent, p: int) -> range | tuple[int, ...]:
+    return range(p) if event.node is None else (event.node,)
+
+
+def _steady_everywhere(event: FaultEvent) -> bool:
+    """A rate fault applied at t=0 to every node for the whole run."""
+    return event.steady and event.at == 0 and event.node is None
+
+
+def _scaled(base: float, factors) -> float:
+    """``base * f1 * f2 ...`` in application order (one rounding per step)."""
+    value = base
+    for factor in factors:
+        value *= factor
+    return value
+
+
+def _entry(
+    event: FaultEvent, phase: str, t: float, node: Optional[int] = None
+) -> dict[str, Any]:
+    """One ``injected`` log entry."""
+    return {
+        "t": t,
+        "kind": event.kind,
+        "phase": phase,
+        "node": event.node if node is None else node,
+        "factor": event.factor,
+        "duration": event.duration,
+    }

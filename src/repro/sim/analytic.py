@@ -126,6 +126,8 @@ def fast_path_refusal(
     Traces, monitors and fault injectors observe or perturb DES
     internals the analytic replay does not have; heterogeneous
     ``node_specs`` change per-node rates the replays assume uniform.
+    (LU and FW hand ``faults`` to their :class:`Replay` solver instead,
+    which accepts t=0 steady rates and DMA stalls.)
     """
     if trace:
         return "trace"
@@ -283,10 +285,17 @@ class Replay:
     other same-timestamp contention raises :class:`FastPathUnsupported`
     -- the caller falls back to the DES, so refusals cost accuracy
     nothing.
+
+    ``faults`` is an optional :class:`~repro.faults.FaultInjector`,
+    hooked in through its :meth:`~repro.faults.FaultInjector.install_replay`:
+    steady rate faults scale ``bandwidth`` / ``b_d`` / ``freq`` before
+    any op runs, and each DMA stall becomes a :meth:`hold` on its node's
+    channel queue.  Anything else refuses with reason ``faults``.
     """
 
-    def __init__(self, spec, design) -> None:
+    def __init__(self, spec, design, faults=None) -> None:
         p = spec.p
+        self.p = p
         net = spec.network
         links = net.links_per_node
         self.latency = net.latency
@@ -310,6 +319,16 @@ class Replay:
         self.events: dict = {}  # key -> completion time
         self.waiters: dict = {}  # key -> [countdown, gen, park_t] cells
         self.max_t = 0.0
+        self.stall_log: list = []  # (t, phase, grant_t, immediate, event, node)
+        self._commit = None
+        if faults is not None:
+            install = getattr(faults, "install_replay", None)
+            if install is None:
+                raise FastPathUnsupported(
+                    f"{type(faults).__name__} cannot be replayed (no install_replay)",
+                    reason="faults",
+                )
+            self._commit = install(self)
 
     def play(self, procs) -> dict:
         """Run ``(name, stream)`` processes in spawn order.
@@ -318,10 +337,18 @@ class Replay:
         (``elapsed``, ``trace``, ``cpu_busy``, ``fpga_busy``,
         ``network_bytes``).
         """
+        heap = self.heap
+        while heap and heap[0][0] == 0.0:
+            # Stalls due at t=0 request their channel before any schedule
+            # op, as the DES's fault processes do.
+            self._stall(heappop(heap)[3], 0.0)
         for _name, ops in procs:
             self.advance(ops, 0.0)
+        elapsed = self.run()
+        if self._commit is not None:
+            self._commit(self._fault_log())
         return {
-            "elapsed": self.run(),
+            "elapsed": elapsed,
             "trace": None,
             "cpu_busy": self.cpu_busy,
             "fpga_busy": self.fpga_busy,
@@ -367,9 +394,11 @@ class Replay:
             elif kind == 3:  # fpga waiter
                 i, key, dur, rem = data
                 self._push(t + dur, "f", (i, key, t, dur, rem))
-            else:  # chan waiter
+            elif kind == 4:  # chan waiter
                 i, gen, dur = data
                 self._push(t + dur, "h", (i, gen, t))
+            else:  # stall waiter
+                self._stall_start(data, t, False)
 
     def _push(self, t: float, kind: str, data) -> None:
         self.seq += 1
@@ -381,6 +410,60 @@ class Replay:
             self._push(t + dur, "f", (i, key, t, dur, rem))
         else:
             q.q.append((3, (i, key, dur, rem)))
+
+    # -- DMA stalls -----------------------------------------------------
+
+    def hold(self, i: int, at: float, duration: float, event) -> None:
+        """A DMA stall: ``chan[i]`` is held ``duration`` from a FIFO grant.
+
+        The hold requests the channel at ``at`` -- ahead of any schedule
+        op at that time, as the DES's fault processes are spawned first --
+        and resumes no generator.  The grant and the end are logged
+        (``apply`` / ``revert``) under ``event`` for :meth:`_fault_log`.
+        """
+        self._push(at, "s", (i, duration, event))
+
+    def _stall(self, data, t: float) -> None:
+        q = self.chan[data[0]]
+        if self._acq(q, t, None):
+            self._stall_start(data, t, True)
+        else:
+            q.q.append((5, data))
+
+    def _stall_start(self, data, t: float, immediate: bool) -> None:
+        i, duration, event = data
+        end = t + duration
+        if end == t:
+            raise FastPathUnsupported(
+                f"stall on chan[{i}] at t={t!r} is below one ulp of the clock",
+                reason="faults",
+            )
+        self.stall_log.append((t, 1, t, immediate, event, i))
+        self._push(end, "e", (i, event, t, immediate))
+
+    def _fault_log(self) -> list:
+        """The stall log in the DES's order, as ``(event, phase, t, node)``.
+
+        At one timestamp the DES logs every revert (in the order the
+        holds were granted) before every apply (in grant order).  Grants
+        at a stall's own request time come first in both engines, in
+        spawn order.  Grants made by channel *releases* at one time
+        follow the release order: for the nodes of one stall event
+        (same ``at``, same duration) that is the schedule's structural
+        order, which both engines share -- the wave-twin argument the
+        ambiguity detector rests on.  Release grants of *different*
+        events tying at one time are coincidences with no pinned order;
+        they refuse with reason ``faults`` rather than risk another log.
+        """
+        log = sorted(self.stall_log, key=lambda r: (r[0], r[1]))
+        released: dict = {}  # (t, phase, grant_t) -> the event released then
+        for t, phase, grant_t, immediate, event, _i in log:
+            if not immediate and released.setdefault((t, phase, grant_t), event) is not event:
+                raise FastPathUnsupported(
+                    f"stalls of two events released at t={t!r}: DES log order not pinned",
+                    reason="faults",
+                )
+        return [(ev, "apply" if ph else "revert", t, i) for t, ph, _g, _im, ev, i in log]
 
     # -- transfers ------------------------------------------------------
 
@@ -537,7 +620,7 @@ class Replay:
                 i, gen, start = data
                 self._rel(self.chan[i], t)
                 self.advance(gen, t)
-            else:  # "f": one fpga run ends
+            elif kind == "f":  # one fpga run ends
                 i, key, start, dur, rem = data
                 self._rel(self.fpga[i], t)
                 self.fpga_busy[i] += t - start
@@ -545,4 +628,10 @@ class Replay:
                     self._fpga_job(i, key, dur, rem - 1, t)
                 else:
                     self._set(key, t)
+            elif kind == "s":  # a stall requests its channel
+                self._stall(data, t)
+            else:  # "e": a stall ends
+                i, event, start, immediate = data
+                self.stall_log.append((t, 0, start, immediate, event, i))
+                self._rel(self.chan[i], t)
         return self.max_t

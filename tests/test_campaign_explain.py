@@ -97,6 +97,35 @@ def test_run_traced_matches_campaign_makespan(campaign_pair):
     assert traced["activity"]
 
 
+def test_run_traced_matches_every_scored_replicate():
+    """The traced DES re-run describes the replicate the campaign scored.
+
+    Untraced replicates take the analytic fast path and the explainer
+    re-runs them traced on the DES; every task of a seeded LU+FW
+    campaign (jitter plus DMA stalls) must agree bitwise.
+    """
+    from repro.campaign import campaign_tasks
+    from repro.campaign.runner import run_replicate
+    from repro.faults import build_scenario
+    from repro.obs.metrics import REGISTRY
+
+    def analytic_points():
+        return sum(
+            item["value"] for item in REGISTRY.snapshot()
+            if item["name"] == "fastpath.points" and item["labels"].get("path") == "analytic"
+        )
+
+    spec = _spec(
+        replicates=2,
+        scenarios=(build_scenario("nominal"), build_scenario("flaky-dma")),
+    )
+    tasks = campaign_tasks(spec)
+    before = analytic_points()
+    for task in tasks:
+        assert run_traced(task)["makespan"] == run_replicate(task)["makespan"], task["cell"]
+    assert analytic_points() == before + len(tasks)  # every replicate took the fast path
+
+
 # ------------------------------------------------------- explanations
 
 

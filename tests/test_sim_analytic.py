@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.apps import des
 from repro.apps.fw import FwSimConfig, simulate_fw
 from repro.apps.fw.analytic import analytic_fw_batch
 from repro.apps.fw.simulate import fw_schedule
@@ -21,6 +22,19 @@ from repro.apps.lu import LuSimConfig, simulate_block_mm, simulate_lu
 from repro.apps.lu.analytic import analytic_block_mm, analytic_block_mm_batch, analytic_lu
 from repro.apps.lu.simulate import block_mm_schedule
 from repro.apps.mm.simulate import MmSimConfig, mm_schedule, simulate_mm
+from repro.campaign.perturb import PerturbationModel
+from repro.campaign.runner import build_design
+from repro.faults import (
+    SCENARIO_BUILDERS,
+    FaultEvent,
+    FaultInjector,
+    FaultScenario,
+    build_scenario,
+    degraded_link,
+    dram_contention,
+    fpga_clock_throttle,
+    node_failure,
+)
 from repro.hw import FloydWarshallDesign, MatrixMultiplyDesign
 from repro.machine import ALL_PRESETS
 from repro.obs.metrics import REGISTRY
@@ -33,6 +47,7 @@ from repro.sim.analytic import (
     fastpath_summary,
     resolve_fast_path,
     set_fast_path_mode,
+    try_fast_path,
 )
 
 
@@ -186,6 +201,66 @@ def test_auto_falls_back_to_des_for_faulted_run(xd1):
     assert faults.installed  # the DES actually ran
     assert res.elapsed == simulate_mm(xd1, cfg, fast_path="on").elapsed
     assert _fallbacks("mm", "faults") == before + 1
+
+
+_LU_CFG = LuSimConfig(n=6000, b=3000, k=8, b_f=1080, l=1)
+_FW_CFG = FwSimConfig(n=2304, b=128, k=8, l1=1, l2=2)
+
+
+def _lu_on(spec, faults):
+    return simulate_lu(spec, _LU_CFG, faults=faults, fast_path="on")
+
+
+def _fw_on(spec, faults):
+    return simulate_fw(spec, _FW_CFG, faults=faults, fast_path="on")
+
+
+def _mm_on(spec, faults):
+    cfg = MmSimConfig(n=spec.p * 256, k=8, m_f=64)
+    return simulate_mm(spec, cfg, faults=faults, fast_path="on")
+
+
+def _block_mm_on(spec, faults):
+    # simulate_block_mm takes no faults; its fold refuses them at the hook.
+    return try_fast_path(
+        "block_mm", lambda: analytic_block_mm(spec, 240, 80, 8), mode="on", faults=faults
+    )
+
+
+@pytest.mark.parametrize(
+    "run, faults",
+    [
+        (_lu_on, lambda: FaultInjector(node_failure(node=1, at=0.05))),
+        (_lu_on, lambda: FaultInjector(degraded_link(0.5, at=0.01))),
+        (_fw_on, lambda: FaultInjector(dram_contention(0.5, duration=0.01))),
+        (_lu_on, lambda: FaultInjector(fpga_clock_throttle(0.5, node=1))),
+        (_fw_on, lambda: FaultInjector(dram_contention(0.5, node=0))),
+        (_lu_on, _StubFaults),
+        (_fw_on, _StubFaults),
+        (_mm_on, lambda: FaultInjector(degraded_link(0.9))),
+        (_block_mm_on, lambda: FaultInjector(degraded_link(0.9))),
+    ],
+    ids=[
+        "node-failure",
+        "delayed-rate",
+        "windowed-rate",
+        "per-node-throttle",
+        "per-node-dram",
+        "lu-no-scenario",
+        "fw-no-scenario",
+        "mm-fold",
+        "block-mm-fold",
+    ],
+)
+def test_fast_path_on_refuses_unreplayable_faults(xd1, run, faults):
+    injector = faults()
+    with pytest.raises(FastPathUnsupported) as exc:
+        run(xd1, injector)
+    assert exc.value.reason == "faults"
+    # A refusal leaves the injector untouched for the DES run.
+    assert not getattr(injector, "injected", None)
+    assert getattr(injector, "system", None) is None
+    assert not getattr(injector, "installed", False)
 
 
 def test_monitored_run_matches_unmonitored_bitwise(xd1):
@@ -454,3 +529,152 @@ def test_cross_preset_fuzz(preset):
         assert accepted >= 8  # most draws reach the LU fast path
         for _ in range(8):
             _fuzz_block_mm(rng, spec)
+
+
+# -----------------------------------------------------------------------
+# faulted runs: t=0 steady rates and DMA stalls replay bitwise
+# -----------------------------------------------------------------------
+
+
+def _faulted_cells():
+    for preset in sorted(ALL_PRESETS):
+        for app in ("lu", "fw"):
+            try:
+                build_design(app, preset).config()
+            except ValueError:
+                continue  # the design does not build on this machine
+            yield app, preset
+
+
+@pytest.mark.parametrize("app, preset", list(_faulted_cells()))
+def test_faulted_fuzz(app, preset):
+    """Seeded campaign draws over the scenario library: fast == DES."""
+    design = build_design(app, preset)
+    spec, cfg = design.spec, design.config()
+    simulate = simulate_lu if app == "lu" else simulate_fw
+    try:
+        simulate(spec, cfg, design=design.design, fast_path="on")
+        fault_free = True
+    except FastPathUnsupported:
+        fault_free = False
+    model = PerturbationModel()
+    rng = random.Random(f"faulted-{app}-{preset}")
+    accepted = draws = 0
+    for name in sorted(SCENARIO_BUILDERS):
+        if name == "node-failure":
+            continue
+        for _ in range(2):
+            draws += 1
+            scenario = model.sample(rng.randrange(2**31), base=build_scenario(name))
+            oracle, fast = FaultInjector(scenario), FaultInjector(scenario)
+            ref = simulate(spec, cfg, design=design.design, faults=oracle, fast_path="off")
+            try:
+                res = simulate(spec, cfg, design=design.design, faults=fast, fast_path="on")
+            except FastPathUnsupported as exc:
+                assert exc.reason == "ambiguous-tie", (name, exc)
+                assert fast.injected == [] and fast.system is None
+                continue
+            accepted += 1
+            assert _fields(res) == _fields(ref), name
+            assert fast.injected == oracle.injected, name
+            assert oracle.injected  # the draw really perturbed the run
+    if fault_free:
+        assert accepted == draws
+
+
+def _stream(*ops):
+    yield from ops
+
+
+class _Engines:
+    """Run hand-built op streams on the DES and on Replay under faults."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=8)
+        self.b_d = spec.node.fpga.effective_dram_bandwidth(self.design.freq_hz)
+        self.rate = spec.node.processor.sustained_flops("dgemm")
+
+    def chan(self, i, seconds):
+        return ("chan", i, seconds * self.b_d, "")
+
+    def cpu(self, i, seconds):
+        return ("cpu", i, "dgemm", seconds * self.rate, "")
+
+    def run(self, make_procs, *stalls):
+        scenario = FaultScenario("stalls", events=stalls)
+        oracle, fast = FaultInjector(scenario), FaultInjector(scenario)
+        ref = des.simulate(self.spec, self.design, make_procs(), faults=oracle)
+        res = Replay(self.spec, self.design, fast).play(make_procs())
+        assert _run_fields(res) == _run_fields(ref)
+        assert fast.injected == oracle.injected
+        return res["elapsed"], [(e["phase"], e["node"], e["t"]) for e in oracle.injected]
+
+
+def _stall(at, duration, node=None):
+    return FaultEvent(kind="dma_stall", at=at, duration=duration, node=node)
+
+
+def test_stall_queues_behind_in_flight_transfer(xd1):
+    eng = _Engines(xd1)
+    procs = lambda: [("n0", _stream(eng.chan(0, 1.0), eng.chan(0, 1.0)))]
+    elapsed, log = eng.run(procs, _stall(0.5, 0.25, node=0))
+    # Granted when the first transfer releases; the second queues behind it.
+    assert log == [("apply", 0, 1.0), ("revert", 0, 1.25)]
+    assert elapsed == pytest.approx(2.25)
+
+
+def test_transfer_queues_behind_stall(xd1):
+    eng = _Engines(xd1)
+    procs = lambda: [("n0", _stream(eng.cpu(0, 0.75), eng.chan(0, 0.5)))]
+    elapsed, log = eng.run(procs, _stall(0.5, 1.0, node=0))
+    assert log == [("apply", 0, 0.5), ("revert", 0, 1.5)]
+    assert elapsed == pytest.approx(2.0)
+
+
+def test_overlapping_stalls_on_one_node(xd1):
+    eng = _Engines(xd1)
+    procs = lambda: [("n0", _stream(eng.cpu(0, 1.0), eng.chan(0, 0.5)))]
+    elapsed, log = eng.run(procs, _stall(0.5, 1.0, node=0), _stall(0.8, 0.5, node=0))
+    # The second stall waits for the first; the transfer waits for both.
+    assert log == [
+        ("apply", 0, 0.5), ("revert", 0, 1.5), ("apply", 0, 1.5), ("revert", 0, 2.0)
+    ]
+    assert elapsed == pytest.approx(2.5)
+
+
+def test_stall_at_time_zero(xd1):
+    eng = _Engines(xd1)
+    procs = lambda: [(f"n{i}", _stream(eng.cpu(i, 0.1), eng.chan(i, 0.2))) for i in range(xd1.p)]
+    elapsed, log = eng.run(procs, _stall(0.0, 0.3))
+    assert log[: xd1.p] == [("apply", i, 0.0) for i in range(xd1.p)]
+    assert elapsed == pytest.approx(0.5)
+
+
+def test_stall_past_the_last_op_extends_elapsed(xd1):
+    eng = _Engines(xd1)
+    procs = lambda: [("n0", _stream(eng.chan(0, 0.5)))]
+    elapsed, log = eng.run(procs, _stall(3.0, 0.5, node=1))
+    assert elapsed == 3.5  # the DES runs until the stall's revert
+    assert log == [("apply", 1, 3.0), ("revert", 1, 3.5)]
+
+
+def test_one_event_released_on_two_nodes_at_once_replays(xd1):
+    eng = _Engines(xd1)
+    procs = lambda: [(f"n{i}", _stream(eng.chan(i, 1.0))) for i in range(xd1.p)]
+    _, log = eng.run(procs, _stall(0.5, 0.25))
+    assert [entry[2] for entry in log] == [1.0] * xd1.p + [1.25] * xd1.p
+
+
+def test_two_events_released_at_once_refuse(xd1):
+    eng = _Engines(xd1)
+    procs = lambda: [(f"n{i}", _stream(eng.chan(i, 1.0))) for i in (0, 1)]
+    stalls = (_stall(0.5, 0.25, node=0), _stall(0.5, 0.25, node=1))
+    scenario = FaultScenario("tie", events=stalls)
+    injector = FaultInjector(scenario)
+    with pytest.raises(FastPathUnsupported) as exc:
+        Replay(xd1, eng.design, injector).play(procs())
+    assert exc.value.reason == "faults"
+    assert injector.injected == []
+    des.simulate(xd1, eng.design, procs(), faults=injector)  # the DES still takes it
+    assert len(injector.injected) == 4
