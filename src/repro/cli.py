@@ -42,12 +42,6 @@ Guided design-space search under ``repro-xd1 tune``::
     tune run --kind block_mm --fixed b=3000 --axis b_f=0:3000:200 --axis k=2,4,6,8
     tune report --manifest tune.json                # or --ledger L
 
-The co-design job server (docs/service.md) under ``serve``/``client``::
-
-    serve --port 8080 --cache .repro_cache --ledger L
-    client submit sweep --param experiments=fig5 --wait
-    client status JOB | wait JOB | result JOB ; client queue
-
 Schemas: docs/observability.md; fault scenarios and policies:
 docs/robustness.md; the guided search: docs/performance.md ("Guided
 search").  All output goes through one BrokenPipe-safe writer, so
@@ -632,77 +626,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="read the latest 'tune' entry from this ledger")
     trep.add_argument("--json", action="store_true", help="emit the manifest as JSON")
     trep.set_defaults(fn=_cmd_tune_report)
-
-    srv = sub.add_parser(
-        "serve", help="run the co-design job server (docs/service.md)"
-    )
-    srv.add_argument("--host", default="127.0.0.1", help="listen address")
-    srv.add_argument("--port", type=int, default=8080,
-                     help="listen port (0 binds an ephemeral port; default 8080)")
-    srv.add_argument("--jobs", default=None,
-                     help="worker processes for the shared sweep executor "
-                          "(int or 'auto'; default: $REPRO_PARALLEL)")
-    srv.add_argument("--cache", default=None, metavar="DIR",
-                     help="result-cache directory backing job-level dedup "
-                          "('off' disables; default: $REPRO_CACHE)")
-    srv.add_argument("--ledger", default=None, metavar="PATH",
-                     help="append a 'service' manifest per finished job")
-    srv.add_argument("--rate-capacity", type=float, default=None,
-                     help="per-client token-bucket burst size "
-                          "(default: no rate limiting)")
-    srv.add_argument("--rate-refill", type=float, default=2.0,
-                     help="token-bucket refill rate per second (default 2)")
-    srv.add_argument("--max-retries", type=int, default=2,
-                     help="retries after a crashed job attempt (default 2)")
-    srv.set_defaults(fn=_cmd_serve)
-
-    cli = sub.add_parser(
-        "client", help="talk to a running co-design job server"
-    )
-    cli.add_argument("--server", default="127.0.0.1:8080", metavar="HOST:PORT",
-                     help="server address (default 127.0.0.1:8080)")
-    cli.add_argument("--client-id", default="cli",
-                     help="client identity for rate limiting (default 'cli')")
-    cli_sub = cli.add_subparsers(dest="client_command", required=True)
-
-    csub = cli_sub.add_parser("submit", help="submit one job")
-    csub.add_argument("kind", help="job kind: design, sweep, faults, campaign, tune")
-    csub.add_argument("--param", action="append", metavar="NAME=VALUE",
-                      help="job parameter (repeatable), e.g. --param app=lu "
-                           "--param experiments=fig5 (JSON values accepted)")
-    csub.add_argument("--priority", default="default",
-                      choices=("interactive", "default", "batch"))
-    csub.add_argument("--wait", action="store_true",
-                      help="block until the job completes and print its outcome")
-    csub.add_argument("--timeout", type=float, default=600.0,
-                      help="--wait timeout in seconds (default 600)")
-    csub.add_argument("--json", action="store_true",
-                      help="emit the full status document as JSON")
-    csub.set_defaults(fn=_cmd_client_submit)
-
-    csta = cli_sub.add_parser("status", help="one job's status")
-    csta.add_argument("job", help="job id (from submit)")
-    csta.add_argument("--json", action="store_true")
-    csta.set_defaults(fn=_cmd_client_status)
-
-    cwai = cli_sub.add_parser("wait", help="block until a job finishes")
-    cwai.add_argument("job", help="job id (from submit)")
-    cwai.add_argument("--timeout", type=float, default=600.0)
-    cwai.add_argument("--json", action="store_true")
-    cwai.set_defaults(fn=_cmd_client_wait)
-
-    cres = cli_sub.add_parser("result", help="a completed job's result document")
-    cres.add_argument("job", help="job id (from submit)")
-    cres.set_defaults(fn=_cmd_client_result)
-
-    cque = cli_sub.add_parser("queue", help="queue depth, counters, cache stats")
-    cque.set_defaults(fn=_cmd_client_queue)
-
-    cpau = cli_sub.add_parser("pause", help="hold the server's worker loop (admin)")
-    cpau.set_defaults(fn=_cmd_client_pause)
-
-    cresu = cli_sub.add_parser("resume", help="release a paused worker loop (admin)")
-    cresu.set_defaults(fn=_cmd_client_resume)
 
     args = parser.parse_args(argv)
     _p.reset()
@@ -1451,190 +1374,6 @@ def _cmd_tune_report(args: argparse.Namespace) -> int:
         _p(_json.dumps(manifest, indent=2, sort_keys=True))
     else:
         _p(render_tune(manifest))
-    return 0
-
-
-# ------------------------------------------------------------------ service
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    from .service import CodesignServer
-
-    cache = args.cache
-    if isinstance(cache, str) and cache.strip().lower() in ("off", "0", "none"):
-        cache = None
-    elif cache is None:
-        from .parallel.cache import cache_from_env
-
-        cache = cache_from_env()
-    server = CodesignServer(
-        args.host,
-        args.port,
-        jobs=args.jobs,
-        cache=cache,
-        ledger=args.ledger,
-        rate_capacity=args.rate_capacity,
-        rate_refill_per_s=args.rate_refill,
-        max_retries=args.max_retries,
-    )
-
-    async def _serve() -> None:
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        await server.start()
-        _p(f"co-design service listening on {args.host}:{server.bound_port}")
-        _p(f"  jobs={server.executor.jobs}  cache={'on' if server.cache else 'off'}"
-           f"  ledger={args.ledger or 'off'}")
-        await stop.wait()
-        _p("shutting down: draining queue ...")
-        await server.stop(drain=True)
-        _p("service stopped cleanly")
-
-    asyncio.run(_serve())
-    return 0
-
-
-def _parse_client_params(pairs: list[str] | None) -> dict:
-    """``--param name=value`` pairs into a params dict (JSON values OK)."""
-    import json as _json
-
-    params: dict = {}
-    for pair in pairs or []:
-        name, sep, raw = pair.partition("=")
-        if not sep or not name:
-            raise ValueError(f"bad --param {pair!r}: expected NAME=VALUE")
-        try:
-            params[name] = _json.loads(raw)
-        except _json.JSONDecodeError:
-            params[name] = raw
-    return params
-
-
-def _client_from_args(args: argparse.Namespace):
-    from .service import ServiceClient
-
-    host, _, port = args.server.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"bad --server {args.server!r}: expected HOST:PORT")
-    return ServiceClient(host, int(port), client_id=args.client_id)
-
-
-def _print_job_status(doc: dict, as_json: bool) -> None:
-    import json as _json
-
-    if as_json:
-        _p(_json.dumps(doc, indent=2, sort_keys=True))
-        return
-    line = (f"job {doc.get('id')}  kind={doc.get('kind')}  "
-            f"state={doc.get('state')}  source={doc.get('source')}")
-    if doc.get("deduped"):
-        line += "  deduped=true"
-    if doc.get("result_hash"):
-        line += f"  result_hash={doc['result_hash'][:16]}"
-    if doc.get("error"):
-        line += f"  error={doc['error']}"
-    _p(line)
-
-
-def _cmd_client_submit(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    try:
-        client = _client_from_args(args)
-        params = _parse_client_params(args.param)
-        doc = client.submit(args.kind, params, priority=args.priority)
-        if args.wait and doc.get("state") not in ("completed", "failed"):
-            waited = client.wait(doc["id"], timeout=args.timeout)
-            waited["deduped"] = doc.get("deduped", False)
-            doc = waited
-        _print_job_status(doc, args.json)
-        return 1 if doc.get("state") == "failed" else 0
-    except (ServiceError, ValueError, OSError, TimeoutError) as exc:
-        _p(f"error: {exc}")
-        return 2
-
-
-def _cmd_client_status(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    try:
-        doc = _client_from_args(args).status(args.job)
-    except (ServiceError, ValueError, OSError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _print_job_status(doc, args.json)
-    return 0
-
-
-def _cmd_client_wait(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    try:
-        doc = _client_from_args(args).wait(args.job, timeout=args.timeout)
-    except (ServiceError, ValueError, OSError, TimeoutError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _print_job_status(doc, args.json)
-    return 1 if doc.get("state") == "failed" else 0
-
-
-def _cmd_client_result(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .service import ServiceError
-
-    try:
-        result = _client_from_args(args).result(args.job)
-    except (ServiceError, ValueError, OSError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _p(_json.dumps(result, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_client_queue(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .service import ServiceError
-
-    try:
-        doc = _client_from_args(args).queue()
-    except (ServiceError, ValueError, OSError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _p(_json.dumps(doc, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_client_pause(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    try:
-        _client_from_args(args).pause()
-    except (ServiceError, ValueError, OSError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _p("paused")
-    return 0
-
-
-def _cmd_client_resume(args: argparse.Namespace) -> int:
-    from .service import ServiceError
-
-    try:
-        _client_from_args(args).resume()
-    except (ServiceError, ValueError, OSError) as exc:
-        _p(f"error: {exc}")
-        return 2
-    _p("resumed")
     return 0
 
 

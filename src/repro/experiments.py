@@ -100,12 +100,16 @@ def _coerce_cache(cache: Any) -> Optional[ResultCache]:
         return ResultCache()
     if isinstance(cache, (str, Path)):
         return ResultCache(cache)
-    return cache
+    if isinstance(cache, ResultCache):
+        return cache
+    raise TypeError(
+        "cache must be a directory path, a ResultCache, True, False or None, "
+        f"got {cache!r}"
+    )
 
 
 @contextmanager
-def configured(jobs: Any = None, cache: Any = None, fast_path: Any = None,
-               executor: Optional[SweepExecutor] = None):
+def configured(jobs: Any = None, cache: Any = None, fast_path: Any = None):
     """Run experiments with a given executor/cache configuration.
 
     ``jobs``: worker count, ``"auto"``, or None to consult the
@@ -115,26 +119,25 @@ def configured(jobs: Any = None, cache: Any = None, fast_path: Any = None,
     ``fast_path``: ``"auto"`` / ``"on"`` / ``"off"`` for the analytic
     no-contention fast path, or None to consult ``REPRO_FAST_PATH``
     (default auto); results are bitwise identical either way.
-    ``executor``: an existing :class:`SweepExecutor` to reuse (the
-    service shares one pool across jobs); the block then leaves its
-    lifetime alone -- only executors this function creates are closed.
+
+    Bad arguments raise before anything is installed, and the block
+    restores the previous executor, cache and fast-path mode on exit.
     """
     global _EXECUTOR, _CACHE
     from .sim.analytic import set_fast_path_mode
 
+    new_cache = _coerce_cache(cache)
     prev = (_EXECUTOR, _CACHE)
-    owns = executor is None
-    if executor is None:
-        executor = SweepExecutor(jobs)
-    _EXECUTOR = executor
-    _CACHE = _coerce_cache(cache)
     prev_mode = set_fast_path_mode(fast_path)
+    executor = None
     try:
-        yield (_EXECUTOR, _CACHE)
+        executor = SweepExecutor(jobs)
+        _EXECUTOR, _CACHE = executor, new_cache
+        yield (executor, new_cache)
     finally:
         set_fast_path_mode(prev_mode)
         _EXECUTOR, _CACHE = prev
-        if owns:
+        if executor is not None:
             executor.close()
 
 

@@ -77,7 +77,6 @@ from .ledger import (
     experiments_entry,
     explain_entry,
     fault_run_entry,
-    service_entry,
     tune_entry,
 )
 from .metrics import REGISTRY, Counter, Gauge, Histogram, MetricsRegistry, get_registry
@@ -136,7 +135,6 @@ __all__ = [
     "render_explain",
     "render_html",
     "safe_print",
-    "service_entry",
     "set_tracer",
     "tune_entry",
     "write_chrome_trace",

@@ -131,28 +131,6 @@ def _tune_point_label(point: dict[str, Any]) -> str:
     return " ".join(f"{k}={point[k]}" for k in sorted(point))
 
 
-def _service_summary(entries: list[dict[str, Any]]) -> Optional[dict[str, Any]]:
-    """The ``service`` entries (schema 7) folded into a panel summary.
-
-    Returns None when the ledger holds no service entries; otherwise a
-    dict with per-outcome counts (computed / cache / failed), per-kind
-    counts, total in-flight dedups, and the most recent jobs in ledger
-    order (newest last).
-    """
-    jobs = [e for e in entries if e.get("kind") == "service"]
-    if not jobs:
-        return None
-    outcomes = {"computed": 0, "cache": 0, "failed": 0}
-    kinds: dict[str, int] = {}
-    deduped = 0
-    for entry in jobs:
-        outcomes[str(entry.get("outcome"))] = outcomes.get(str(entry.get("outcome")), 0) + 1
-        kind = str(entry.get("job_kind", "?"))
-        kinds[kind] = kinds.get(kind, 0) + 1
-        deduped += int(entry.get("dedup_count") or 0)
-    return {"jobs": jobs, "outcomes": outcomes, "kinds": kinds, "deduped": deduped}
-
-
 def _cell_drift(cell: dict, prev_cell: Optional[dict]) -> Optional[float]:
     """Relative median shift of a cell vs the previous campaign's cell."""
     if not prev_cell:
@@ -354,33 +332,6 @@ def render_ascii(entries: list[dict[str, Any]], band: float = DEFAULT_BAND) -> s
                         fid=row.get("fidelity", "?"),
                     )
                 )
-    service = _service_summary(entries)
-    if service:
-        oc = service["outcomes"]
-        lines.append("")
-        lines.append(
-            "service jobs ({n} recorded: {c} computed, {h} cache, {f} failed; "
-            "{d} in-flight dedups):".format(
-                n=len(service["jobs"]), c=oc.get("computed", 0),
-                h=oc.get("cache", 0), f=oc.get("failed", 0),
-                d=service["deduped"],
-            )
-        )
-        for entry in service["jobs"][-8:]:
-            lines.append(
-                "  [{outcome:<8}] {job} {kind:<9} wait {wait}  run {run}  "
-                "attempts {att}  dedup {dd}  hash {h}".format(
-                    outcome=entry.get("outcome", "?"),
-                    job=entry.get("job", "?"),
-                    kind=entry.get("job_kind", "?"),
-                    wait=_fmt_s(entry.get("queue_wait_s")),
-                    run=_fmt_s(entry.get("run_s")),
-                    att=entry.get("attempts", "?"),
-                    dd=entry.get("dedup_count", 0),
-                    h=(str(entry.get("result_hash"))[:12]
-                       if entry.get("result_hash") else "-"),
-                )
-            )
     workers = _latest_worker_telemetry(entries)
     if workers:
         lines.append("")
@@ -776,49 +727,6 @@ def _tune_tables(entries: list[dict[str, Any]]) -> str:
     return "\n".join(blocks)
 
 
-def _service_table(entries: list[dict[str, Any]]) -> str:
-    service = _service_summary(entries)
-    if not service:
-        return ""
-    oc = service["outcomes"]
-    kinds = " &middot; ".join(
-        f"{escape(k)}: {n}" for k, n in sorted(service["kinds"].items())
-    )
-    rows = []
-    for entry in service["jobs"][-20:]:
-        outcome = str(entry.get("outcome", "?"))
-        css = "below" if outcome == "failed" else "ok"
-        h = entry.get("result_hash")
-        rows.append(
-            "<tr>"
-            f"<td>{escape(str(entry.get('job', '?')))}</td>"
-            f"<td>{escape(str(entry.get('job_kind', '?')))}</td>"
-            f'<td class="status {css}">{escape(outcome)}</td>'
-            f"<td class='num'>{_fmt_s(entry.get('queue_wait_s'))}</td>"
-            f"<td class='num'>{_fmt_s(entry.get('run_s'))}</td>"
-            f"<td class='num'>{entry.get('attempts', '?')}</td>"
-            f"<td class='num'>{entry.get('dedup_count', 0)}</td>"
-            f"<td><code>{escape(str(h)[:12]) if h else '-'}</code></td>"
-            "</tr>"
-        )
-    sub = (
-        f"{len(service['jobs'])} jobs recorded &middot; "
-        f"{oc.get('computed', 0)} computed / {oc.get('cache', 0)} from cache / "
-        f"{oc.get('failed', 0)} failed &middot; "
-        f"{service['deduped']} in-flight dedups &middot; {kinds} &middot; "
-        "docs/service.md"
-    )
-    return (
-        "<h2>Service jobs</h2>"
-        f"<p class='sub'>{sub}</p>"
-        "<table><thead><tr><th>job</th><th>kind</th><th>outcome</th>"
-        "<th class='num'>queue wait</th><th class='num'>run</th>"
-        "<th class='num'>attempts</th><th class='num'>dedups</th>"
-        "<th>result hash</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>"
-    )
-
-
 def _workers_table(entries: list[dict[str, Any]]) -> str:
     workers = _latest_worker_telemetry(entries)
     if not workers:
@@ -902,7 +810,6 @@ def render_html(
 {_campaign_check_table(entries)}
 {_explain_table(entries)}
 {_tune_tables(entries)}
-{_service_table(entries)}
 {_workers_table(entries)}
 </body>
 </html>

@@ -3,10 +3,9 @@
 Every instrumented run -- an LU/FW/MM design run, an experiments sweep,
 a ``bench_perf_regression`` baseline check, a fault-injection run, a
 statistical campaign, a campaign regression check, a regression
-*explanation* (paired-trace blame diff), a guided-search *tune* run
-(successive-halving manifest with its Pareto front) or a co-design
-*service* job (queue wait, run time, dedup/cache outcome) -- can
-append one *manifest* line to a JSON-lines ledger file.  A manifest records everything needed
+*explanation* (paired-trace blame diff) or a guided-search *tune* run
+(successive-halving manifest with its Pareto front) -- can append one
+*manifest* line to a JSON-lines ledger file.  A manifest records everything needed
 to compare runs across commits and machines: git SHA, machine preset,
 the partition decisions ``(b_p, b_f, l)`` / ``(l1, l2)`` / ``(m_f, r)``,
 the model prediction ``max{T_tp, T_tf}``, the simulated makespan,
@@ -45,7 +44,6 @@ __all__ = [
     "campaign_check_entry",
     "explain_entry",
     "tune_entry",
-    "service_entry",
 ]
 
 #: Current ledger schema version.  Schema 1 was the metrics-file format
@@ -60,23 +58,23 @@ __all__ = [
 #: schema 6 adds the ``tune`` kind (guided-search manifests from
 #: :mod:`repro.tune`: successive-halving rungs, the incumbent design
 #: and the Pareto front over GFLOPS / slice utilisation / resilience);
-#: schema 7 adds the ``service`` kind (co-design-as-a-service job
-#: manifests from :mod:`repro.service`: job id/kind, dedup and cache
-#: outcome, queue wait, run time, attempts, result hash).
-#: Entries written by older schemas remain readable:
-#: :meth:`RunLedger.entries` accepts any ``schema <= 7``.  Bump on
-#: breaking changes to the entry layout.
+#: schema 7 added the ``service`` kind (job manifests from a co-design
+#: job server that has since been removed).  Nothing writes ``service``
+#: entries any more and :meth:`RunLedger.append` refuses them, but the
+#: version stays 7 so existing schema-7 files -- ``service`` lines
+#: included -- remain readable: :meth:`RunLedger.entries` accepts any
+#: ``schema <= 7`` and does not check kinds.  Bump on breaking changes
+#: to the entry layout.
 LEDGER_SCHEMA = 7
 
 #: Entry kinds the observatory understands.  ``design_run`` entries feed
 #: the fidelity analysis, ``fault_run`` entries feed the resilience
 #: report, ``campaign``/``campaign_check``/``explain`` entries feed the
 #: campaign observatory, ``tune`` entries feed the autotuner's Pareto
-#: panel, ``service`` entries feed the job-server panel; the others are
-#: audit records.
+#: panel; the others are audit records.
 ENTRY_KINDS = (
     "design_run", "experiments", "bench", "fault_run", "campaign",
-    "campaign_check", "explain", "tune", "service",
+    "campaign_check", "explain", "tune",
 )
 
 #: Environment override for :func:`current_git_sha` (useful in CI and
@@ -635,58 +633,6 @@ def explain_entry(
         "top_blame": manifest.get("top_blame"),
         "explain": dict(manifest),
     }
-    if note:
-        entry["note"] = note
-    return entry
-
-
-def service_entry(
-    record: dict[str, Any],
-    *,
-    source: str = "service",
-    git_sha: Optional[str] = None,
-    note: Optional[str] = None,
-) -> dict[str, Any]:
-    """A ``service`` manifest: one finished co-design-service job.
-
-    ``record`` is the plain dict the server builds for each job (this
-    module stays stdlib-only, so it never imports :mod:`repro.service`):
-    ``job`` (id), ``job_kind`` (design/sweep/faults/campaign/tune/...),
-    ``outcome`` (``computed`` -- the runner executed, ``cache`` -- a warm
-    :class:`ResultCache` entry answered instantly, or ``failed``),
-    ``key`` (the manifest's canonical hash), ``priority``, ``client``,
-    ``queue_wait_s``, ``run_s``, ``attempts``, ``dedup_count`` (in-flight
-    duplicates collapsed onto this execution) and ``result_hash``.
-    Timing fields are wall-clock telemetry; the identity of the work
-    lives entirely in ``key``/``result_hash``.
-    """
-    for key in ("job", "job_kind", "outcome"):
-        if not record.get(key):
-            raise LedgerError(f"service record is missing {key!r}")
-    outcome = record["outcome"]
-    if outcome not in ("computed", "cache", "failed"):
-        raise LedgerError(
-            f"service outcome must be computed/cache/failed, got {outcome!r}"
-        )
-    entry: dict[str, Any] = {
-        "kind": "service",
-        "app": "service",
-        "source": source,
-        "git_sha": git_sha if git_sha is not None else current_git_sha(),
-        "job": record["job"],
-        "job_kind": record["job_kind"],
-        "outcome": outcome,
-        "key": record.get("key"),
-        "priority": record.get("priority"),
-        "client": record.get("client"),
-        "queue_wait_s": record.get("queue_wait_s"),
-        "run_s": record.get("run_s"),
-        "attempts": record.get("attempts"),
-        "dedup_count": record.get("dedup_count"),
-        "result_hash": record.get("result_hash"),
-    }
-    if record.get("error"):
-        entry["error"] = record["error"]
     if note:
         entry["note"] = note
     return entry

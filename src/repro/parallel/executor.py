@@ -129,11 +129,6 @@ class SweepExecutor:
         #: ledger's ``workers`` block, never into deterministic
         #: manifests.  Empty until the first map().
         self.last_telemetry: dict[str, Any] = {}
-        #: Optional owner tag (e.g. a service job id).  When set, every
-        #: map() stamps it into :attr:`last_telemetry` as ``scope`` so a
-        #: shared long-lived executor can attribute pool health to the
-        #: job that produced it.
-        self.scope: Optional[str] = None
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def close(self) -> None:
@@ -197,8 +192,6 @@ class SweepExecutor:
                 "chunks": 0,
                 "elapsed_s": time.perf_counter() - map_start,
             }
-            if self.scope is not None:
-                self.last_telemetry["scope"] = self.scope
             return results
         self.last_mode = "parallel"
         workers = min(self.jobs, n)
@@ -230,8 +223,6 @@ class SweepExecutor:
                 )
         elapsed = time.perf_counter() - t0
         self.last_telemetry = self._fold_telemetry(workers, n, spans, elapsed)
-        if self.scope is not None:
-            self.last_telemetry["scope"] = self.scope
         REGISTRY.counter("sweep.tasks", mode="parallel").inc(n)
         REGISTRY.counter("sweep.maps", mode="parallel").inc()
         REGISTRY.gauge("sweep.workers").max(workers)

@@ -254,7 +254,8 @@ def test_fault_run_entry_validates_required_fields():
 
 def test_mixed_schema_ledger_reads_and_diffs_cleanly(tmp_path):
     """Schema-2 through schema-6 entries written by older code still
-    load, list, resolve and diff after the schema-7 (service) bump."""
+    load, list, resolve and diff next to entries written at the current
+    schema 7."""
     from repro.obs import fault_run_entry, render_diff
 
     path = tmp_path / "l.jsonl"
@@ -573,65 +574,50 @@ def test_old_reader_rejects_schema6_tune_lines(tmp_path, monkeypatch):
 # -------------------------------------------------- schema 7 / service
 
 
-def _service_record(outcome="computed"):
-    """A minimal server-built service job record."""
+def _old_service_line(seq):
+    """A schema-7 ``service`` line as the removed job server wrote it."""
     return {
-        "job": "j-000001",
-        "job_kind": "design",
-        "outcome": outcome,
-        "key": "ab" * 32,
-        "priority": "default",
-        "client": "cli",
-        "queue_wait_s": 0.002,
-        "run_s": 0.41,
-        "attempts": 1,
-        "dedup_count": 2,
-        "result_hash": "cd" * 32,
-        "error": None,
+        "kind": "service", "app": "service", "source": "service",
+        "schema": 7, "seq": seq, "ts": "2026-06-01T00:00:00Z",
+        "git_sha": "old", "job": "j-000001", "job_kind": "design",
+        "outcome": "computed", "key": "ab" * 32, "priority": "default",
+        "client": "cli", "queue_wait_s": 0.002, "run_s": 0.41,
+        "attempts": 1, "dedup_count": 2, "result_hash": "cd" * 32,
     }
 
 
-def test_service_entry_builds_schema7_manifest(tmp_path):
-    from repro.obs import service_entry
+def test_old_service_lines_still_read_but_are_no_longer_written(tmp_path):
+    """Schema-7 ``service`` lines from existing ledgers list, resolve,
+    diff and render (the panels skip them); new ones are refused."""
+    from repro.obs import fault_run_entry, render_ascii, render_diff, render_html
 
-    entry = service_entry(_service_record(), git_sha="abc", note="ci")
-    assert entry["kind"] == "service"
-    assert entry["app"] == "service"
-    assert entry["job"] == "j-000001"
-    assert entry["job_kind"] == "design"
-    assert entry["outcome"] == "computed"
-    assert entry["dedup_count"] == 2
-    assert entry["result_hash"] == "cd" * 32
-    assert "error" not in entry  # None error stays off the manifest
-    assert entry["note"] == "ci"
-    ledger = RunLedger(tmp_path / "l.jsonl")
-    appended = ledger.append(entry)
-    assert appended["schema"] == LEDGER_SCHEMA == 7
-    (back,) = ledger.entries(kind="service")
-    assert back["queue_wait_s"] == 0.002
-
-
-def test_service_entry_validates_record():
-    from repro.obs import service_entry
-
-    with pytest.raises(LedgerError, match="missing 'job'"):
-        service_entry({"job_kind": "design", "outcome": "computed"})
-    with pytest.raises(LedgerError, match="missing 'outcome'"):
-        service_entry({"job": "j-1", "job_kind": "design"})
-    with pytest.raises(LedgerError, match="outcome must be"):
-        service_entry(_service_record(outcome="teleported"))
-    failed = dict(_service_record(outcome="failed"), error="boom")
-    assert service_entry(failed)["error"] == "boom"
+    path = tmp_path / "l.jsonl"
+    path.write_text(json.dumps(_old_service_line(1), sort_keys=True) + "\n",
+                    encoding="utf-8")
+    ledger = RunLedger(path)
+    ledger.append(fault_run_entry(_fault_result(), git_sha="new"))
+    entries = ledger.entries()
+    assert [e["kind"] for e in entries] == ["service", "fault_run"]
+    assert ledger.entries(kind="service") == [entries[0]]
+    assert ledger.resolve(1)["job"] == "j-000001"
+    assert render_diff(entries[0], entries[1])
+    text = render_ascii(entries)
+    html = render_html(entries)
+    assert "j-000001" not in text and "j-000001" not in html
+    with pytest.raises(LedgerError, match="unknown ledger entry kind 'service'"):
+        ledger.append(_old_service_line(3))
+    assert len(ledger.entries()) == 2
 
 
 def test_old_reader_rejects_schema7_service_lines(tmp_path, monkeypatch):
     """A schema-6 reader must refuse schema-7 lines loudly, not misread
-    them."""
+    them.  Schema 7 introduced the ``service`` kind, which is no longer
+    written, so any surviving kind stamped 7 stands in for it."""
     import repro.obs.ledger as ledger_mod
-    from repro.obs import service_entry
+    from repro.obs import fault_run_entry
 
     path = tmp_path / "l.jsonl"
-    RunLedger(path).append(service_entry(_service_record(), git_sha="x"))
+    RunLedger(path).append(fault_run_entry(_fault_result(), git_sha="x"))
     monkeypatch.setattr(ledger_mod, "LEDGER_SCHEMA", 6)
     with pytest.raises(LedgerError, match="unsupported ledger schema"):
         RunLedger(path).entries()

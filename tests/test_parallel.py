@@ -342,6 +342,32 @@ def test_experiments_serial_parallel_and_cache_agree(tmp_path):
     assert E.SIM_CALLS == before  # and in fact re-simulated nothing
 
 
+@pytest.mark.parametrize(
+    "kw, exc",
+    [
+        ({"fast_path": "bogus"}, ValueError),
+        ({"cache": 42}, TypeError),
+        ({"jobs": "many"}, ValueError),
+    ],
+    ids=["fast_path", "cache", "jobs"],
+)
+def test_configured_bad_argument_leaves_globals_alone(tmp_path, kw, exc):
+    from repro import experiments as E
+    from repro.sim import analytic
+
+    outer = ResultCache(tmp_path / "outer")
+    with E.configured(jobs=1, cache=outer, fast_path="off") as (executor, _):
+        args = {"jobs": 1, "cache": False, **kw}
+        with pytest.raises(exc):
+            with E.configured(**args):
+                pass  # pragma: no cover - the block must not be entered
+        assert E._EXECUTOR is executor
+        assert E._CACHE is outer
+        assert analytic._MODE_OVERRIDE == "off"
+    assert E._EXECUTOR is None and E._CACHE is None
+    assert analytic._MODE_OVERRIDE is None
+
+
 def test_cache_counts_hits_misses_puts_evictions(tmp_path):
     cache = ResultCache(tmp_path / "c")
     assert cache.get({"x": 1}) is None  # miss
