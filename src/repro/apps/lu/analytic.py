@@ -2,15 +2,10 @@
 
 :func:`analytic_lu` runs :func:`repro.apps.lu.simulate.lu_schedule`'s
 op streams -- the very streams the DES interprets -- on the
-:class:`repro.sim.analytic.Replay` engine, so every field of the
-returned :class:`LuSimResult` matches the DES bitwise.  The engine
-refuses (:class:`FastPathUnsupported`) any configuration whose outcome
-would depend on DES intra-timestamp micro-ordering.  Tie classes (why
-the replay is safe where it does not refuse): the owner's
-per-superstripe broadcast is one ``send_batch`` burst, and workers'
-result sends toward the same opMS owner carry their broadcast *wave*
-(``position // links_per_node``) as tie class, as same-job same-wave
-workers are structurally identical twins.
+:class:`repro.sim.analytic.Replay` engine, which runs same-time work in
+the DES's own order, so every field of the returned
+:class:`LuSimResult` matches the DES bitwise, contended ties included
+(the Processor-only and FPGA-only baselines among them).
 
 :func:`analytic_block_mm` is a closed-form fold of
 :func:`~repro.apps.lu.simulate.block_mm_schedule` for the Figure 5
@@ -46,9 +41,7 @@ def analytic_lu(
     ``faults`` is an optional :class:`repro.faults.FaultInjector` (see
     :class:`~repro.sim.analytic.Replay` for what it may contain).
     Raises :class:`repro.sim.analytic.FastPathUnsupported` when the
-    schedule hits an ambiguous same-time resource tie (then only the
-    DES's micro-ordering can decide the outcome) or the faults are not
-    replayable.
+    faults are not replayable.
     """
     if design is None:
         design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=config.k)

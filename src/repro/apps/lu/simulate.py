@@ -153,7 +153,6 @@ def lu_schedule(spec: MachineSpec, config: LuSimConfig, trace: bool = False) -> 
     nb, b, b_f, b_p, S = config.nb, config.b, config.b_f, config.b_p, config.superstripes
     bw = 8
     kernel = config.cpu_mm_kernel
-    links = spec.network.links_per_node
 
     # Per-worker, per-opMM data sizes (physical: C broadcast, D scattered).
     c_bytes = b * b * bw
@@ -208,9 +207,6 @@ def lu_schedule(spec: MachineSpec, config: LuSimConfig, trace: bool = False) -> 
 
     def worker_iteration(i: int, t: int):
         owner = t % p
-        # Result sends of same-job workers in one broadcast wave are
-        # structurally identical twins: one Replay tie class.
-        wave = workers_of(t).index(i) // links
         stage = gemm = mm = ""
         for u, v in iteration_jobs(t, nb):
             fkey = ("fpga", i, t, u, v)
@@ -246,11 +242,11 @@ def lu_schedule(spec: MachineSpec, config: LuSimConfig, trace: bool = False) -> 
             if config.collect_results:
                 dest = min(u, v) % p
                 if dest != i:
-                    yield ("send", i, dest, result_bytes, ("ms", t, u, v, i), ("ms", t, u, v, wave))
+                    yield ("send", i, dest, result_bytes, ("ms", t, u, v, i))
                 else:
                     # The locally kept part is ready; the sink only waits on
-                    # it.  The worker's own wait yields once to same-time
-                    # events, an ordering the DES results depend on.
+                    # it.  The worker's own wait resumes one hop later, after
+                    # the same-time work queued before it.
                     local = ("local_ms", i, t, u, v)
                     yield ("set", local)
                     yield ("wait", local)

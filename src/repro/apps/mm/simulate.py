@@ -120,7 +120,7 @@ def mm_schedule(spec: MachineSpec, config: MmSimConfig, trace: bool = False) -> 
                 yield ("cpu", i, kernel, cpu_flops, f"gemm[{s}]" if trace else "")
             if s < p - 1:
                 # Forward the panel for the next step (CPU time, Sec. 4.3).
-                yield ("send", i, right, panel_bytes, ("ring", s + 1), None)
+                yield ("send", i, right, panel_bytes, ("ring", s + 1))
             yield ("wait", fkey)
 
     return [(f"node{i}", node_main(i)) for i in range(p)]

@@ -25,7 +25,7 @@ from typing import Any, Iterable, Optional
 
 from ..faults.scenarios import FaultEvent, FaultScenario
 from ..obs.metrics import REGISTRY, Histogram
-from ..parallel import ResultCache, SweepExecutor, cache_from_env
+from ..parallel import SweepExecutor, coerce_cache
 from .perturb import PerturbationModel, default_model
 from .runner import resolve_runner, run_replicate
 from .seeds import derive_seed
@@ -297,14 +297,7 @@ def run_campaign(
     the dashboard instead.
     """
     tasks = campaign_tasks(spec)
-    if cache is None:
-        cache = cache_from_env()
-    elif cache is False:
-        cache = None
-    elif cache is True:
-        cache = ResultCache()
-    elif not isinstance(cache, ResultCache):
-        cache = ResultCache(cache)
+    cache = coerce_cache(cache)
     executor = SweepExecutor(jobs)
     if cache is None:
         results = executor.map(run_replicate, tasks)

@@ -895,11 +895,8 @@ def _cmd_faults_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _p(f"error: {exc}")
         return 2
-    cache = args.cache
-    if cache is not None and cache.strip().lower() in ("", "off", "0", "none", "false"):
-        cache = False
     results = fault_sweep(
-        apps, scenarios, policies, preset=args.preset, jobs=args.jobs, cache=cache
+        apps, scenarios, policies, preset=args.preset, jobs=args.jobs, cache=args.cache
     )
     _p(ResilienceReport(results).render_ascii())
     if args.out:
@@ -973,12 +970,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _p(f"error: {exc}")
         return 2
-    cache = args.cache
-    if cache is not None and cache.strip().lower() in ("", "off", "0", "none", "false"):
-        cache = False
     telemetry: dict = {}
     try:
-        manifest = run_campaign(spec, jobs=args.jobs, cache=cache, telemetry=telemetry)
+        manifest = run_campaign(spec, jobs=args.jobs, cache=args.cache, telemetry=telemetry)
     except ValueError as exc:
         _p(f"error: {exc}")
         return 2
@@ -1204,9 +1198,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         selected = {name: ALL_EXPERIMENTS[name] for name in wanted}
     else:
         selected = ALL_EXPERIMENTS
-    cache = args.cache
-    if cache is not None and cache.strip().lower() in ("", "off", "0", "none", "false"):
-        cache = False
     try:
         resolve_jobs(args.jobs)
     except ValueError as exc:
@@ -1218,7 +1209,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         set_tracer(Tracer())
     failed = []
     outcomes: list[tuple[str, bool]] = []
-    with configured(jobs=args.jobs, cache=cache, fast_path=args.fast_path):
+    with configured(jobs=args.jobs, cache=args.cache, fast_path=args.fast_path):
         for name, fn in selected.items():
             result = fn()
             outcomes.append((name, result.ok))
@@ -1313,12 +1304,9 @@ def _cmd_tune_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _p(f"error: {exc}")
         return 2
-    cache = args.cache
-    if cache is not None and cache.strip().lower() in ("", "off", "0", "none", "false"):
-        cache = False
     telemetry: dict = {}
     try:
-        manifest = run_tune(spec, jobs=args.jobs, cache=cache, telemetry=telemetry)
+        manifest = run_tune(spec, jobs=args.jobs, cache=args.cache, telemetry=telemetry)
     except ValueError as exc:
         _p(f"error: {exc}")
         return 2

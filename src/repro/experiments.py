@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Optional
 
 from .analysis import Series, bar_chart, line_chart, percent, table
@@ -29,7 +28,7 @@ from .hw import FloydWarshallDesign, MatrixMultiplyDesign
 from .kernels.flops import getrf_flops, trsm_flops
 from .machine import ALL_PRESETS, cray_xd1
 from .obs import REGISTRY, get_tracer
-from .parallel import ResultCache, SweepExecutor, cache_from_env
+from .parallel import ResultCache, SweepExecutor, coerce_cache
 
 __all__ = [
     "ALL_EXPERIMENTS",
@@ -91,23 +90,6 @@ _CACHE: Optional[ResultCache] = None
 SIM_CALLS = 0
 
 
-def _coerce_cache(cache: Any) -> Optional[ResultCache]:
-    if cache is None:
-        return cache_from_env()
-    if cache is False:
-        return None
-    if cache is True:
-        return ResultCache()
-    if isinstance(cache, (str, Path)):
-        return ResultCache(cache)
-    if isinstance(cache, ResultCache):
-        return cache
-    raise TypeError(
-        "cache must be a directory path, a ResultCache, True, False or None, "
-        f"got {cache!r}"
-    )
-
-
 @contextmanager
 def configured(jobs: Any = None, cache: Any = None, fast_path: Any = None):
     """Run experiments with a given executor/cache configuration.
@@ -126,7 +108,7 @@ def configured(jobs: Any = None, cache: Any = None, fast_path: Any = None):
     global _EXECUTOR, _CACHE
     from .sim.analytic import set_fast_path_mode
 
-    new_cache = _coerce_cache(cache)
+    new_cache = coerce_cache(cache)
     prev = (_EXECUTOR, _CACHE)
     prev_mode = set_fast_path_mode(fast_path)
     executor = None

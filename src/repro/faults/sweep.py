@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
-from ..parallel import ResultCache, SweepExecutor, cache_from_env
+from ..parallel import SweepExecutor, coerce_cache
 from .adapt import run_with_faults
 from .scenarios import FaultScenario
 
@@ -83,14 +83,7 @@ def fault_sweep(
     any ledger written from it -- is deterministic.
     """
     tasks = fault_tasks(apps, scenarios, policies, preset=preset, sizes=sizes)
-    if cache is None:
-        cache = cache_from_env()
-    elif cache is False:
-        cache = None
-    elif cache is True:
-        cache = ResultCache()
-    elif not isinstance(cache, ResultCache):
-        cache = ResultCache(cache)
+    cache = coerce_cache(cache)
     executor = SweepExecutor(jobs)
     if cache is None:
         return executor.map(run_fault_task, tasks)

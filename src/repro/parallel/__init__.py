@@ -15,7 +15,7 @@ CLI flag select worker count; ``REPRO_CACHE`` points the cache somewhere
 other than ``.repro_cache/`` (or disables it with ``off``).
 """
 
-from .cache import CODE_SALT, ResultCache, cache_from_env
+from .cache import CODE_SALT, ResultCache, cache_from_env, coerce_cache
 from .executor import SweepExecutor, resolve_jobs
 from .grid import ParamGrid, canonical, canonical_json, canonical_key
 
@@ -23,6 +23,7 @@ __all__ = [
     "CODE_SALT",
     "ResultCache",
     "cache_from_env",
+    "coerce_cache",
     "SweepExecutor",
     "resolve_jobs",
     "ParamGrid",

@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional
 from ..obs.metrics import REGISTRY
 from .grid import canonical_json
 
-__all__ = ["CODE_SALT", "ResultCache", "cache_from_env"]
+__all__ = ["CODE_SALT", "ResultCache", "cache_from_env", "coerce_cache"]
 
 #: Version salt mixed into every cache key.  Bump when simulator or model
 #: semantics change so stale results can never be replayed.
@@ -35,6 +35,10 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Environment variable overriding the cache location ("off"/"0" disables).
 CACHE_ENV_VAR = "REPRO_CACHE"
+
+#: Spellings of a cache setting (``--cache`` or ``REPRO_CACHE``) that
+#: disable caching, compared after stripping and lower-casing.
+CACHE_OFF = ("", "off", "0", "none", "false")
 
 
 class ResultCache:
@@ -213,12 +217,33 @@ class ResultCache:
 def cache_from_env(default: Optional[str] = None) -> Optional[ResultCache]:
     """Build a cache from ``REPRO_CACHE`` (or ``default`` when unset).
 
-    Values ``off``, ``0`` and ``none`` disable caching; anything else is
-    the cache directory.  Returns None when disabled/unconfigured.
+    A :data:`CACHE_OFF` spelling disables caching; anything else is the
+    cache directory.  Returns None when disabled/unconfigured.
     """
     raw = os.environ.get(CACHE_ENV_VAR, default)
-    if raw is None:
+    return None if raw is None else coerce_cache(raw)
+
+
+def coerce_cache(cache: Any) -> Optional[ResultCache]:
+    """The cache a ``cache`` argument selects; None means no cache.
+
+    ``cache`` is a directory path (a :data:`CACHE_OFF` string such as
+    ``"off"`` disables), a :class:`ResultCache`, True (the default
+    ``.repro_cache/``), False (off), or None (consult ``REPRO_CACHE``).
+    """
+    if cache is None:
+        return cache_from_env()
+    if cache is False:
         return None
-    if raw.strip().lower() in ("", "off", "0", "none", "false"):
+    if cache is True:
+        return ResultCache()
+    if isinstance(cache, ResultCache):
+        return cache
+    if isinstance(cache, str) and cache.strip().lower() in CACHE_OFF:
         return None
-    return ResultCache(raw)
+    if isinstance(cache, (str, Path)):
+        return ResultCache(cache)
+    raise TypeError(
+        "cache must be a directory path, a ResultCache, True, False or None, "
+        f"got {cache!r}"
+    )

@@ -1,34 +1,21 @@
-"""Analytic no-contention fast path: exact schedule replay without a DES.
+"""Analytic fast path: exact schedule replay without a DES.
 
-Most points in the paper's sweep grids are *uncontended*: every resource
-grant in the discrete-event simulation is either immediate or ordered by
-strict FIFO arrival, so the makespan is a deterministic function of the
-partition/machine parameters and can be computed by replaying the
-schedule's arithmetic directly -- same floating-point operations, same
-order -- without event objects, generator-driven processes or a calendar
-queue.  The result is **bitwise identical** to the DES on every point
-the fast path accepts, at a fraction of the cost.
+A DES run is a deterministic function of the partition/machine
+parameters and of the engine's event order, so it can be reproduced by
+replaying the schedule's arithmetic -- same floating-point operations,
+same order -- without event objects or generator-driven processes.  The
+result is **bitwise identical** to the DES on every point the fast path
+accepts, at a fraction of the cost.
 
 Two layers live here:
 
 * :class:`Replay` -- runs the apps' op streams, the same streams the
   DES interpreter :func:`repro.apps.des.simulate` executes (the op
   vocabulary is tabled in docs/simulator.md).  It keeps per-resource
-  FIFO queues and a single time-ordered heap, but no event/process
-  objects.  A built-in *ambiguity detector* refuses (raises
-  :class:`FastPathUnsupported`) whenever two same-timestamp acquisitions
-  from different spawn bursts hit the same FIFO queue and at least one
-  of them has to wait -- the only situation in which the DES outcome
-  depends on its intra-timestamp micro-ordering.  Everything else is
-  provably order-independent:
-
-  - grants that all succeed immediately commute;
-  - float ``max`` is a selection, not an arithmetic blend;
-  - acquisitions at *distinct* timestamps are ordered by time alone;
-  - same-timestamp acquisitions from the *same* burst (one process
-    spawning a batch of transfers, or structurally identical "wave
-    twins" tagged with the same tie class) arrive in a fixed documented
-    order in both engines, so FIFO service order matches by induction.
+  FIFO queues and the DES's two schedule queues (a calendar and a FIFO
+  of same-time posts), but no event/process objects, and runs
+  same-timestamp work in the DES's own order, so contended ties come
+  out as the DES decides them.
 
 * Mode resolution -- ``fast_path`` arguments on the ``simulate_*``
   entry points accept ``"auto"`` (use the fast path when eligible, fall
@@ -44,7 +31,7 @@ coverage (see docs/performance.md):
   ``analytic`` vs ``des``;
 - ``fastpath.fallback{app,reason}`` -- why points fell back
   (``trace`` / ``monitor`` / ``faults`` / ``node-specs`` /
-  ``ambiguous-tie`` / ``unsupported-config`` / ``disabled``).
+  ``unsupported-config`` / ``disabled``).
 """
 
 from __future__ import annotations
@@ -83,11 +70,11 @@ class FastPathUnsupported(Exception):
     """The analytic fast path cannot reproduce this run bitwise.
 
     ``reason`` is a short category for counters/manifests
-    (``ambiguous-tie``, ``monitor``, ``faults``, ...); ``str(exc)``
+    (``monitor``, ``faults``, ``unsupported-config``, ...); ``str(exc)``
     carries the full diagnostic.
     """
 
-    def __init__(self, detail: str, reason: str = "ambiguous-tie") -> None:
+    def __init__(self, detail: str, reason: str) -> None:
         super().__init__(detail)
         self.reason = reason
 
@@ -222,34 +209,38 @@ def try_fast_path(
 
 
 class _Q:
-    """One FIFO resource queue (link lane, CPU lane, FPGA, DMA channel)."""
+    """One FIFO resource queue (link, CPU lane, FPGA, DMA channel).
 
-    __slots__ = ("cap", "in_use", "q", "last_t", "last_burst", "last_waited", "name")
+    ``q`` holds the waiters' grant continuations as ``(fn, data, hold)``
+    (see :meth:`Replay._request`); ``name`` is the DES resource's name.
+    """
 
-    def __init__(self, cap: int) -> None:
+    __slots__ = ("cap", "in_use", "q", "name")
+
+    def __init__(self, cap: int, name: str) -> None:
         self.cap = cap
         self.in_use = 0
         self.q: deque = deque()
-        self.last_t = -1.0
-        self.last_burst: Optional[object] = None
-        self.last_waited = False
-        self.name = ""
+        self.name = name
 
 
 class _Tok:
-    """One in-flight network transfer (egress -> ingress -> wire)."""
+    """One in-flight network transfer (egress -> ingress -> wire).
 
-    __slots__ = ("src", "dst", "svc", "size", "key", "burst", "group", "gen")
+    ``then`` is who resumes once the message is on the destination's
+    mailbox: the sending schedule's generator, or the join of a spawned
+    send process.
+    """
 
-    def __init__(self, src, dst, svc, size, key, burst, group, gen) -> None:
+    __slots__ = ("src", "dst", "svc", "size", "key", "then")
+
+    def __init__(self, src, dst, svc, size, key, then) -> None:
         self.src = src
         self.dst = dst
         self.svc = svc
         self.size = size
         self.key = key
-        self.burst = burst
-        self.group = group  # [outstanding, owner_gen] for batch sends
-        self.gen = gen  # generator resumed inline for single sends
+        self.then = then
 
 
 class _Rates(dict):
@@ -265,32 +256,44 @@ class _Rates(dict):
 
 
 class Replay:
-    """Chronological replay of an op stream without event objects.
+    """The DES's schedule order, replayed without event objects.
 
     Runs the same op streams as the DES interpreter
     (:func:`repro.apps.des.simulate`; the op vocabulary is tabled in
-    docs/simulator.md).  Each stream is a generator; the engine drives it with
-    :meth:`advance` and orders everything on one ``(time, seq)`` heap.
-    Durations come from the op fields with the DES's own arithmetic and
-    the machine's uniform rates: CPU ``flops / sustained_flops(kernel)``,
-    channel ``0.0 + bytes / B_d``, link ``latency + int(bytes) / B_n``,
-    FPGA ``cycles / F_f``.  A message is keyed ``(src, dst, tag)``;
-    ``recv`` is a wait on that key.
+    docs/simulator.md).  Each stream is a generator driven by
+    :meth:`advance`.  Durations come from the op fields with the DES's
+    own arithmetic and the machine's uniform rates: CPU
+    ``flops / sustained_flops(kernel)``, channel ``0.0 + bytes / B_d``,
+    link ``latency + int(bytes) / B_n``, FPGA ``cycles / F_f``.  A
+    message is keyed ``(src, dst, tag)``; ``recv`` takes it from a
+    mailbox.
 
-    The ambiguity detector lives in :meth:`_acq`: two same-timestamp
-    acquisitions of one queue are allowed only if both are granted
-    immediately or they share a *tie class* (the same ``send_batch``
-    burst, or an explicit ``tie`` tag marking structurally identical
-    wave twins whose FIFO order is reproduced by construction).  Any
-    other same-timestamp contention raises :class:`FastPathUnsupported`
-    -- the caller falls back to the DES, so refusals cost accuracy
-    nothing.
+    Same-timestamp work runs in exactly the DES's order, so contended
+    ties come out as the DES decides them.  The order key is ``(time,
+    hop depth, post order)``: calendar entries (timeouts) have depth 0
+    and each zero-delay post (a grant, ``succeed``, a process start, an
+    ``all_of`` firing) sits one hop deeper than the entry that posted
+    it; docs/simulator.md tables the hops of each op.  As in the DES,
+    the key is kept by two queues: a calendar heap of ``(t, seq, fn,
+    data)`` and a FIFO of ``(depth, fn, data)`` posts at the current
+    time, drained after the calendar entries due now -- breadth-first,
+    so FIFO order is depth order.  A running chain continues inline
+    through a hop only when nothing else is due now; otherwise it posts
+    itself and takes the place the DES gives it.  An entry with several
+    callbacks runs the first and queues the rest at the FIFO's head, so
+    they still come before anything the first one posts.  A hold's
+    timeout is created at its grant (see :meth:`_request`).  Every entry
+    runs as ``fn(data, t, depth)``.
 
     ``faults`` is an optional :class:`~repro.faults.FaultInjector`,
     hooked in through its :meth:`~repro.faults.FaultInjector.install_replay`:
     steady rate faults scale ``bandwidth`` / ``b_d`` / ``freq`` before
     any op runs, and each DMA stall becomes a :meth:`hold` on its node's
     channel queue.  Anything else refuses with reason ``faults``.
+
+    ``requests`` may be set to a list before :meth:`play` to log every
+    resource request as ``(t, depth, resource name)``, the probe the
+    tests compare with the DES's own log.
     """
 
     def __init__(self, spec, design, faults=None) -> None:
@@ -303,22 +306,22 @@ class Replay:
         self.freq = design.freq_hz
         self.b_d = spec.node.fpga.effective_dram_bandwidth(self.freq)
         self.rates = _Rates(spec.node.processor)
-        self.heap: list = []
+        self.cal: list = []  # calendar heap: (t, seq, fn, data)
         self.seq = 0
-        self.egress = [_Q(links) for _ in range(p)]
-        self.ingress = [_Q(links) for _ in range(p)]
-        self.lane = [_Q(1) for _ in range(p)]
-        self.fpga = [_Q(1) for _ in range(p)]
-        self.chan = [_Q(1) for _ in range(p)]
-        for nm in ("egress", "ingress", "lane", "fpga", "chan"):
-            for idx, qq in enumerate(getattr(self, nm)):
-                qq.name = f"{nm}[{idx}]"
+        self.dq: deque = deque()  # posts due now: (depth, fn, data)
+        self.requests: Optional[list] = None
+        self.egress = [_Q(links, f"net{i}.out") for i in range(p)]
+        self.ingress = [_Q(links, f"net{i}.in") for i in range(p)]
+        self.lane = [_Q(1, f"cpu{i}.lane") for i in range(p)]
+        self.fpga = [_Q(1, f"fpga{i}.lane") for i in range(p)]
+        self.chan = [_Q(1, f"fpga_dram{i}.lock") for i in range(p)]
         self.cpu_busy = [0.0] * p
         self.fpga_busy = [0.0] * p
         self.net_bytes = 0.0
-        self.events: dict = {}  # key -> completion time
-        self.waiters: dict = {}  # key -> [countdown, gen, park_t] cells
-        self.max_t = 0.0
+        self.done: set = set()  # keys of processed set events
+        self.waiters: dict = {}  # key -> [(fn, data)] callbacks, in order
+        self.mail: set = set()  # delivered messages not yet received
+        self.getters: dict = {}  # message key -> its receiver (as ``_Tok.then``)
         self.stall_log: list = []  # (t, phase, grant_t, immediate, event, node)
         self._commit = None
         if faults is not None:
@@ -337,13 +340,8 @@ class Replay:
         (``elapsed``, ``trace``, ``cpu_busy``, ``fpga_busy``,
         ``network_bytes``).
         """
-        heap = self.heap
-        while heap and heap[0][0] == 0.0:
-            # Stalls due at t=0 request their channel before any schedule
-            # op, as the DES's fault processes do.
-            self._stall(heappop(heap)[3], 0.0)
         for _name, ops in procs:
-            self.advance(ops, 0.0)
+            self.dq.append((1, self.advance, ops))  # process start, posted at t=0
         elapsed = self.run()
         if self._commit is not None:
             self._commit(self._fault_log())
@@ -355,83 +353,284 @@ class Replay:
             "network_bytes": self.net_bytes,
         }
 
-    # -- queues ---------------------------------------------------------
+    def run(self) -> float:
+        """Drain both queues in DES order; returns the makespan."""
+        cal = self.cal
+        dq = self.dq
+        popleft = dq.popleft
+        pop = heappop
+        t = 0.0
+        while True:
+            # Posts due now; none of them can add a calendar entry at t.
+            while dq:
+                d, fn, data = popleft()
+                fn(data, t, d)
+            if not cal:
+                return t
+            # The next time's calendar entries all come first.
+            t, _, fn, data = pop(cal)
+            fn(data, t, 0)
+            while cal and cal[0][0] == t:
+                _, _, fn, data = pop(cal)
+                fn(data, t, 0)
 
-    def _acq(self, q: _Q, t: float, burst) -> bool:
-        """Acquire ``q`` at ``t``; True if granted now, False if queued.
+    # -- scheduling -----------------------------------------------------
 
-        Raises :class:`FastPathUnsupported` on an ambiguous tie: a
-        same-timestamp acquisition from a different tie class where
-        either party waits (then DES micro-order picks the winner).
+    def _at(self, t: float, d: int, end: float, fn, data) -> None:
+        """A timeout created at ``(t, d)`` that fires ``fn(data)`` at ``end``.
+
+        A delay below one ulp of the clock (``end == t``) is a zero-delay
+        post one hop deeper, as in the DES; any other lands on the
+        calendar.
         """
-        wait = q.in_use >= q.cap or bool(q.q)
-        if t == q.last_t and (burst is None or q.last_burst is None or burst != q.last_burst):
-            if wait or q.last_waited:
-                raise FastPathUnsupported(
-                    f"ambiguous same-time contention on {q.name} at t={t!r}"
-                )
-        q.last_t = t
-        q.last_burst = burst
-        q.last_waited = wait
-        if wait:
-            return False
-        q.in_use += 1
-        return True
-
-    def _rel(self, q: _Q, t: float) -> None:
-        """Release one slot of ``q`` at ``t`` and grant the FIFO head."""
-        q.in_use -= 1
-        if q.q and q.in_use < q.cap:
-            kind, data = q.q.popleft()
-            q.in_use += 1
-            if kind == 0:  # transfer waiting for egress
-                self._ingress_phase(data, t)
-            elif kind == 1:  # transfer waiting for ingress
-                self._push(t + data.svc, "x", data)
-            elif kind == 2:  # cpu lane waiter
-                i, gen, dur = data
-                self._push(t + dur, "c", (i, gen, t))
-            elif kind == 3:  # fpga waiter
-                i, key, dur, rem = data
-                self._push(t + dur, "f", (i, key, t, dur, rem))
-            elif kind == 4:  # chan waiter
-                i, gen, dur = data
-                self._push(t + dur, "h", (i, gen, t))
-            else:  # stall waiter
-                self._stall_start(data, t, False)
-
-    def _push(self, t: float, kind: str, data) -> None:
-        self.seq += 1
-        heappush(self.heap, (t, self.seq, kind, data))
-
-    def _fpga_job(self, i: int, key, dur: float, rem: int, t: float) -> None:
-        q = self.fpga[i]
-        if self._acq(q, t, None):
-            self._push(t + dur, "f", (i, key, t, dur, rem))
+        if end == t:
+            self.dq.append((d + 1, fn, data))
         else:
-            q.q.append((3, (i, key, dur, rem)))
+            self.seq += 1
+            heappush(self.cal, (end, self.seq, fn, data))
+
+    def _then(self, fn, data, t: float, d: int) -> None:
+        """Continue ``fn(data)`` one post away, at depth ``d``.
+
+        Inline when it would be the next entry anyway; else posted.
+        """
+        cal = self.cal
+        if self.dq or (cal and cal[0][0] == t):
+            self.dq.append((d, fn, data))
+        else:
+            fn(data, t, d)
+
+    # -- resources ------------------------------------------------------
+
+    def _request(self, q: _Q, t: float, d: int, fn, data, hold=None) -> None:
+        """Request one slot of ``q``; the grant continues ``fn(data)``.
+
+        ``hold`` is set when the continuation only starts a hold of that
+        length.  Such a continuation runs at the grant itself: the DES
+        creates the hold's timeout one hop later, but every timeout it
+        creates in between is another grant's hold, granted (and so
+        posted) earlier, so creating each at its grant keeps the DES's
+        creation order and thus its order at equal end times.  A hold
+        that collapses to a zero-delay post (``t + hold == t``) waits
+        for its turn like any other continuation.
+        """
+        if self.requests is not None:
+            self.requests.append((t, d, q.name))
+        if q.in_use >= q.cap:
+            q.q.append((fn, data, hold))
+            return
+        q.in_use += 1
+        if hold is not None and t + hold != t:
+            fn(data, t, d + 1)
+        else:
+            self._then(fn, data, t, d + 1)
+
+    def _grant(self, q: _Q, t: float, d: int) -> None:
+        """A slot of ``q`` came free at depth ``d``: grant the FIFO head."""
+        fn, data, hold = q.q.popleft()
+        q.in_use += 1
+        if hold is not None and t + hold != t:
+            fn(data, t, d + 1)  # a hold starts at its grant (see _request)
+        else:
+            self.dq.append((d + 1, fn, data))
+
+    def _timer(self, data, t: float, d: int) -> None:
+        """Hold a granted CPU lane or channel: ``(end_fn, i, gen, dur)``."""
+        end_fn, i, gen, dur = data
+        self._at(t, d, t + dur, end_fn, (i, gen, t))
+
+    def _cpu_end(self, data, t: float, d: int) -> None:
+        i, gen, start = data
+        q = self.lane[i]
+        q.in_use -= 1
+        if q.q:
+            self._grant(q, t, d)
+        self.cpu_busy[i] += t - start
+        self.advance(gen, t, d)
+
+    def _chan_end(self, data, t: float, d: int) -> None:
+        i, gen, _start = data
+        q = self.chan[i]
+        q.in_use -= 1
+        if q.q:
+            self._grant(q, t, d)
+        self.advance(gen, t, d)
+
+    # -- completion events and joins ------------------------------------
+
+    def _event(self, key, t: float, d: int) -> None:
+        """A set event is processed: mark it and run its waiters."""
+        self.done.add(key)
+        cbs = self.waiters.pop(key, None)
+        if cbs:
+            # The later callbacks run next, ahead of anything the first posts.
+            self.dq.extendleft([(d, fn, data) for fn, data in reversed(cbs[1:])])
+            fn, data = cbs[0]
+            fn(data, t, d)
+
+    def _check(self, join: list, t: float, d: int) -> None:
+        """One ``all_of`` constituent is processed.
+
+        ``join = [left, gen, spawned_only]``; see :meth:`_resumed` for
+        the third field.
+        """
+        join[0] -= 1
+        if join[0] == 0:
+            self._then(self.advance, join[1], t, d + 1)
+
+    def _resumed(self, join: list, t: float, d: int) -> None:
+        """A spawned send/recv process resumes at ``(t, d)`` and returns.
+
+        Its end event is processed one hop later, and counts for the
+        join one hop after that.  When every constituent is such a
+        process (``join[2]``) the counts come in resume order, so only
+        the last resume is observable; the others just count down (see
+        :meth:`_wake`).
+        """
+        self._then(self._check, join, t, d + 1)
+
+    def _wake(self, then, t: float, d: int, now: bool = False) -> None:
+        """Resume ``then`` at depth ``d``: run it ``now``, or post it.
+
+        ``then`` is a schedule's generator, or the join of a spawned
+        process; a spawned process that is not its join's last only
+        counts down.
+        """
+        if type(then) is list:
+            if then[2] and then[0] > 1:
+                then[0] -= 1
+                return
+            fn = self._resumed
+        else:
+            fn = self.advance
+        if now:
+            fn(then, t, d)
+        else:
+            self.dq.append((d, fn, then))
+
+    # -- FPGA jobs ------------------------------------------------------
+
+    def _fpga_req(self, job: list, t: float, d: int) -> None:
+        """``job = [i, key, dur, runs_left, start]`` requests its fabric."""
+        self._request(self.fpga[job[0]], t, d, self._fpga_run, job, job[2])
+
+    def _fpga_run(self, job: list, t: float, d: int) -> None:
+        job[4] = t
+        self._at(t, d, t + job[2], self._fpga_end, job)
+
+    def _fpga_end(self, job: list, t: float, d: int) -> None:
+        i = job[0]
+        q = self.fpga[i]
+        q.in_use -= 1
+        if q.q:
+            self._grant(q, t, d)
+        self.fpga_busy[i] += t - job[4]
+        job[3] -= 1
+        if job[3] > 0:
+            self._fpga_req(job, t, d)
+        else:
+            self.dq.append((d + 1, self._event, job[1]))
+
+    # -- transfers ------------------------------------------------------
+
+    # The egress and ingress requests are :meth:`_request` inlined (hot
+    # path): the egress grant goes on to request the ingress link, whose
+    # grant starts the wire hold.
+
+    def _egress(self, tok: _Tok, t: float, d: int) -> None:
+        q = self.egress[tok.src]
+        if self.requests is not None:
+            self.requests.append((t, d, q.name))
+        if q.in_use >= q.cap:
+            q.q.append((self._ingress, tok, None))
+            return
+        q.in_use += 1
+        cal = self.cal
+        if self.dq or (cal and cal[0][0] == t):
+            self.dq.append((d + 1, self._ingress, tok))
+        else:
+            self._ingress(tok, t, d + 1)
+
+    def _ingress(self, tok: _Tok, t: float, d: int) -> None:
+        q = self.ingress[tok.dst]
+        if self.requests is not None:
+            self.requests.append((t, d, q.name))
+        if q.in_use >= q.cap:
+            q.q.append((self._wire, tok, tok.svc))
+            return
+        q.in_use += 1
+        end = t + tok.svc
+        if end != t:
+            self.seq += 1
+            heappush(self.cal, (end, self.seq, self._arrive, tok))
+        else:
+            self._then(self._wire, tok, t, d + 1)
+
+    def _wire(self, tok: _Tok, t: float, d: int) -> None:
+        self._at(t, d, t + tok.svc, self._arrive, tok)
+
+    def _arrive(self, tok: _Tok, t: float, d: int) -> None:
+        """Wire time ends: free both links, then put on the mailbox."""
+        dq = self.dq
+        q = self.ingress[tok.dst]
+        q.in_use -= 1
+        if q.q:
+            self._grant(q, t, d)
+        q = self.egress[tok.src]
+        q.in_use -= 1
+        if q.q:
+            self._grant(q, t, d)
+        self.net_bytes += tok.size
+        # The put posts the sender's resume, then the waiting getter's.
+        d += 1
+        cal = self.cal
+        inline = not (dq or (cal and cal[0][0] == t))
+        if not inline:
+            self._wake(tok.then, t, d)
+        getter = self.getters.pop(tok.key, None)
+        if getter is None:
+            self.mail.add(tok.key)
+        else:
+            self._wake(getter, t, d)
+        if inline:
+            self._wake(tok.then, t, d, now=True)
+
+    def _get(self, data, t: float, d: int) -> None:
+        """A spawned ``recv`` process starts: ``(key, join)``."""
+        key, join = data
+        if key not in self.mail:
+            self.getters[key] = join
+            return
+        self.mail.remove(key)
+        cal = self.cal
+        self._wake(join, t, d + 1, now=not (self.dq or (cal and cal[0][0] == t)))
 
     # -- DMA stalls -----------------------------------------------------
 
     def hold(self, i: int, at: float, duration: float, event) -> None:
         """A DMA stall: ``chan[i]`` is held ``duration`` from a FIFO grant.
 
-        The hold requests the channel at ``at`` -- ahead of any schedule
-        op at that time, as the DES's fault processes are spawned first --
-        and resumes no generator.  The grant and the end are logged
-        (``apply`` / ``revert``) under ``event`` for :meth:`_fault_log`.
+        The DES runs each stall as a process spawned before the
+        schedule's, so it starts first at t=0 (depth 1) and requests the
+        channel there or, after a timeout created at that start, at
+        ``at``; it resumes no generator.  Those timeouts are the first
+        the DES creates, so they are created here.  The grant and the
+        end are logged (``apply`` / ``revert``) under ``event`` for
+        :meth:`_fault_log`.
         """
-        self._push(at, "s", (i, duration, event))
-
-    def _stall(self, data, t: float) -> None:
-        q = self.chan[data[0]]
-        if self._acq(q, t, None):
-            self._stall_start(data, t, True)
+        data = [i, at, duration, event, True]
+        if at > 0:
+            self._at(0.0, 1, at, self._stall_req, data)
         else:
-            q.q.append((5, data))
+            self.dq.append((1, self._stall_req, data))
 
-    def _stall_start(self, data, t: float, immediate: bool) -> None:
-        i, duration, event = data
+    def _stall_req(self, data: list, t: float, d: int) -> None:
+        q = self.chan[data[0]]
+        data[4] = q.in_use < q.cap  # granted on request
+        self._request(q, t, d, self._stall_run, data, data[2])
+
+    def _stall_run(self, data: list, t: float, d: int) -> None:
+        i, _at, duration, event, immediate = data
         end = t + duration
         if end == t:
             raise FastPathUnsupported(
@@ -439,7 +638,15 @@ class Replay:
                 reason="faults",
             )
         self.stall_log.append((t, 1, t, immediate, event, i))
-        self._push(end, "e", (i, event, t, immediate))
+        self._at(t, d, end, self._stall_end, (i, event, t, immediate))
+
+    def _stall_end(self, data, t: float, d: int) -> None:
+        i, event, start, immediate = data
+        self.stall_log.append((t, 0, start, immediate, event, i))
+        q = self.chan[i]
+        q.in_use -= 1
+        if q.q:
+            self._grant(q, t, d)
 
     def _fault_log(self) -> list:
         """The stall log in the DES's order, as ``(event, phase, t, node)``.
@@ -450,10 +657,9 @@ class Replay:
         spawn order.  Grants made by channel *releases* at one time
         follow the release order: for the nodes of one stall event
         (same ``at``, same duration) that is the schedule's structural
-        order, which both engines share -- the wave-twin argument the
-        ambiguity detector rests on.  Release grants of *different*
-        events tying at one time are coincidences with no pinned order;
-        they refuse with reason ``faults`` rather than risk another log.
+        order, which both engines share.  Release grants of *different*
+        events tying at one time refuse with reason ``faults`` rather
+        than risk another log.
         """
         log = sorted(self.stall_log, key=lambda r: (r[0], r[1]))
         released: dict = {}  # (t, phase, grant_t) -> the event released then
@@ -465,173 +671,99 @@ class Replay:
                 )
         return [(ev, "apply" if ph else "revert", t, i) for t, ph, _g, _im, ev, i in log]
 
-    # -- transfers ------------------------------------------------------
-
-    def _start_transfer(self, tok: _Tok, t: float) -> None:
-        q = self.egress[tok.src]
-        if self._acq(q, t, tok.burst):
-            self._ingress_phase(tok, t)
-        else:
-            q.q.append((0, tok))
-
-    def _ingress_phase(self, tok: _Tok, t: float) -> None:
-        q = self.ingress[tok.dst]
-        if self._acq(q, t, tok.burst):
-            self._push(t + tok.svc, "x", tok)
-        else:
-            q.q.append((1, tok))
-
-    # -- completion events ----------------------------------------------
-
-    def _set(self, key, t: float) -> None:
-        self.events[key] = t
-        for cell in self.waiters.pop(key, ()):
-            cell[0] -= 1
-            if cell[0] == 0:
-                self._push(t, "g", cell[1])
-
-    def _wait_keys(self, gen, keys, t: float) -> Optional[float]:
-        """Resume time if every key is set; else park ``gen``."""
-        events = self.events
-        unset = [k for k in keys if k not in events]
-        if not unset:
-            mx = t
-            for k in keys:
-                v = events[k]
-                if v > mx:
-                    mx = v
-            return mx
-        cell = [len(unset), gen, t]
-        waiters = self.waiters
-        for k in unset:
-            waiters.setdefault(k, []).append(cell)
-        return None
-
     # -- generator driver ------------------------------------------------
 
-    def advance(self, gen, t: float) -> None:
-        """Drive ``gen`` from time ``t`` until it blocks or finishes."""
-        if t > self.max_t:
-            self.max_t = t
+    def advance(self, gen, t: float, d: int) -> None:
+        """Drive ``gen`` from ``(t, d)`` until it blocks or finishes."""
+        cal = self.cal
+        dq = self.dq
         step = gen.__next__
-        events = self.events
         while True:
             try:
                 op = step()
             except StopIteration:
-                return
+                return  # nothing waits on a schedule process's end
             code = op[0]
-            if code == "cpu":
+            if code == "cpu" or code == "chan":
                 i = op[1]
-                dur = op[3] / self.rates[op[2]]
-                q = self.lane[i]
-                if self._acq(q, t, None):
-                    self._push(t + dur, "c", (i, gen, t))
+                if code == "cpu":
+                    q = self.lane[i]
+                    dur = op[3] / self.rates[op[2]]
+                    end_fn = self._cpu_end
                 else:
-                    q.q.append((2, (i, gen, dur)))
-                return
-            elif code == "recv" or code == "wait":
-                key = (op[2], op[1], op[3]) if code == "recv" else op[1]
-                done = events.get(key)
-                if done is None:
-                    self.waiters.setdefault(key, []).append([1, gen, t])
+                    q = self.chan[i]
+                    dur = 0.0 + op[2] / self.b_d
+                    end_fn = self._chan_end
+                # _request inlined (hot path).
+                if self.requests is not None:
+                    self.requests.append((t, d, q.name))
+                if q.in_use >= q.cap:
+                    q.q.append((self._timer, (end_fn, i, gen, dur), dur))
                     return
-                if done > t:
-                    t = done
-                    if t > self.max_t:
-                        self.max_t = t
-            elif code == "chan":
-                i = op[1]
-                dur = 0.0 + op[2] / self.b_d
-                q = self.chan[i]
-                if self._acq(q, t, None):
-                    self._push(t + dur, "h", (i, gen, t))
+                q.in_use += 1
+                end = t + dur
+                if end != t:
+                    self.seq += 1
+                    heappush(cal, (end, self.seq, end_fn, (i, gen, t)))
                 else:
-                    q.q.append((4, (i, gen, dur)))
+                    self._then(self._timer, (end_fn, i, gen, dur), t, d + 1)
                 return
+            elif code == "recv":
+                key = (op[2], op[1], op[3])
+                if key not in self.mail:
+                    self.getters[key] = gen
+                    return
+                self.mail.remove(key)
+                d += 1
+                if dq or (cal and cal[0][0] == t):
+                    dq.append((d, self.advance, gen))
+                    return
+            elif code == "wait":
+                key = op[1]
+                if key not in self.done:
+                    self.waiters.setdefault(key, []).append((self.advance, gen))
+                    return
             elif code == "set":
-                self._set(op[1], t)
+                dq.append((d + 1, self._event, op[1]))
             elif code == "fpga":
                 _, i, cycles, _flops, repeat, key, _label = op
-                self._fpga_job(i, key, cycles / self.freq, repeat, t)
+                dq.append((d + 1, self._fpga_req, [i, key, cycles / self.freq, repeat, 0.0]))
             elif code == "send":
-                _, src, dst, nbytes, tag, tie = op
+                _, src, dst, nbytes, tag = op
                 size = int(nbytes)
                 svc = self.latency + size / self.bandwidth
-                self._start_transfer(
-                    _Tok(src, dst, svc, size, (src, dst, tag), tie, None, gen), t
-                )
+                self._egress(_Tok(src, dst, svc, size, (src, dst, tag), gen), t, d)
                 return
-            elif code == "send_batch":
-                _, src, dsts, nbytes, tag = op
-                if not dsts:
-                    continue
-                size = int(nbytes)
-                svc = self.latency + size / self.bandwidth
-                burst = object()
-                group = [len(dsts), gen]
-                for dst in dsts:
-                    self._start_transfer(
-                        _Tok(src, dst, svc, size, (src, dst, tag), burst, group, None), t
-                    )
-                return
-            elif code == "wait_all":
-                keys = op[1]
-                if len(op) > 2:
-                    dst = op[2]
-                    keys = [k if s is None else (s, dst, k) for k, s in zip(keys, op[3])]
-                r = self._wait_keys(gen, keys, t)
-                if r is None:
+            elif code == "send_batch" or code == "wait_all":
+                # An all_of over spawned processes (each start posted one
+                # hop deeper) and set events.
+                join = [0, gen, True]
+                if code == "send_batch":
+                    _, src, dsts, nbytes, tag = op
+                    size = int(nbytes)
+                    svc = self.latency + size / self.bandwidth
+                    egress = self._egress
+                    for dst in dsts:
+                        dq.append((d + 1, egress, _Tok(src, dst, svc, size, (src, dst, tag), join)))
+                    join[0] = len(dsts)
+                else:
+                    keys = op[1]
+                    srcs = op[3] if len(op) > 2 else [None] * len(keys)
+                    done = self.done
+                    for k, s in zip(keys, srcs):
+                        if s is not None:
+                            dq.append((d + 1, self._get, ((s, op[2], k), join)))
+                        elif k in done:
+                            continue
+                        else:
+                            join[2] = False
+                            self.waiters.setdefault(k, []).append((self._check, join))
+                        join[0] += 1
+                if join[0]:
                     return
-                t = r
-                if t > self.max_t:
-                    self.max_t = t
+                d += 1  # an all_of over processed events fires at once
+                if dq or (cal and cal[0][0] == t):
+                    dq.append((d, self.advance, gen))
+                    return
             else:  # pragma: no cover - schedule author error
                 raise AssertionError(f"unknown replay op {code!r}")
-
-    def run(self) -> float:
-        """Drain the heap; returns the makespan (latest time touched)."""
-        heap = self.heap
-        while heap:
-            t, _, kind, data = heappop(heap)
-            if t > self.max_t:
-                self.max_t = t
-            if kind == "c":  # cpu lane hold ends
-                i, gen, start = data
-                self._rel(self.lane[i], t)
-                self.cpu_busy[i] += t - start
-                self.advance(gen, t)
-            elif kind == "x":  # transfer wire time ends
-                tok = data
-                self._rel(self.ingress[tok.dst], t)
-                self._rel(self.egress[tok.src], t)
-                self.net_bytes += tok.size
-                self._set(tok.key, t)
-                if tok.gen is not None:
-                    self.advance(tok.gen, t)
-                else:
-                    group = tok.group
-                    group[0] -= 1
-                    if group[0] == 0:
-                        self._push(t, "g", group[1])
-            elif kind == "g":  # plain generator resume
-                self.advance(data, t)
-            elif kind == "h":  # channel hold ends
-                i, gen, start = data
-                self._rel(self.chan[i], t)
-                self.advance(gen, t)
-            elif kind == "f":  # one fpga run ends
-                i, key, start, dur, rem = data
-                self._rel(self.fpga[i], t)
-                self.fpga_busy[i] += t - start
-                if rem > 1:
-                    self._fpga_job(i, key, dur, rem - 1, t)
-                else:
-                    self._set(key, t)
-            elif kind == "s":  # a stall requests its channel
-                self._stall(data, t)
-            else:  # "e": a stall ends
-                i, event, start, immediate = data
-                self.stall_log.append((t, 0, start, immediate, event, i))
-                self._rel(self.chan[i], t)
-        return self.max_t

@@ -36,7 +36,7 @@ from typing import Any, Optional
 from ..campaign.seeds import derive_seed
 from ..faults.scenarios import build_scenario
 from ..obs.metrics import REGISTRY
-from ..parallel import ResultCache, SweepExecutor, cache_from_env
+from ..parallel import ResultCache, SweepExecutor, coerce_cache
 from ..parallel.grid import canonical_json
 from .evaluate import objectives_for, point_task, resilience_task, run_tune_task
 from .pareto import DEFAULT_SENSES, pareto_front
@@ -118,18 +118,6 @@ class TuneSpec:
         )
 
 
-def _coerce_cache(cache: Any) -> Optional[ResultCache]:
-    if cache is None:
-        return cache_from_env()
-    if cache is False:
-        return None
-    if cache is True:
-        return ResultCache()
-    if isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(cache)
-
-
 class _Evaluator:
     """Cache-aware batch evaluation with scheduled-eval accounting."""
 
@@ -201,7 +189,7 @@ def run_tune(
     n0 = len(points)
     budget = spec.effective_budget(n0)
     executor = SweepExecutor(jobs)
-    evaluate = _Evaluator(executor, _coerce_cache(cache))
+    evaluate = _Evaluator(executor, coerce_cache(cache))
     rungs: list[dict[str, Any]] = []
     records: dict[str, dict[str, Any]] = {}
 

@@ -41,6 +41,17 @@ def test_cli_lu_small(capsys):
     assert "Hybrid" in out and "Processor-only" in out
 
 
+def test_cli_lu_cache_off_writes_no_cache(tmp_path, monkeypatch, capsys):
+    # "off" disables the cache, as for every other command; it is not a
+    # directory name.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    assert main(["lu", "--n", "12000", "--cache", "off"]) == 0
+    out = capsys.readouterr().out
+    assert "Hybrid" in out and "cache off:" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_machines(capsys):
     assert main(["machines"]) == 0
     out = capsys.readouterr().out

@@ -18,6 +18,7 @@ from repro.parallel import (
     SweepExecutor,
     cache_from_env,
     canonical,
+    coerce_cache,
     canonical_json,
     canonical_key,
     resolve_jobs,
@@ -208,6 +209,20 @@ def test_cache_from_env(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "c"))
     cache = cache_from_env()
     assert cache is not None and cache.salt == CODE_SALT
+
+
+def test_coerce_cache_spellings(tmp_path, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    for off in ("off", " OFF ", "0", "none", "False", ""):
+        assert coerce_cache(off) is None, off
+    assert coerce_cache(None) is None and coerce_cache(False) is None
+    assert isinstance(coerce_cache(str(tmp_path / "c")), ResultCache)
+    assert isinstance(coerce_cache(tmp_path / "c"), ResultCache)
+    cache = ResultCache(tmp_path / "c")
+    assert coerce_cache(cache) is cache
+    with pytest.raises(TypeError):
+        coerce_cache(3)
+    assert list(tmp_path.iterdir()) == []  # building a cache writes nothing
 
 
 # -----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.apps.fw.analytic import analytic_fw_batch
 from repro.apps.fw.simulate import fw_schedule
 from repro.apps.lu import LuSimConfig, simulate_block_mm, simulate_lu
 from repro.apps.lu.analytic import analytic_block_mm, analytic_block_mm_batch, analytic_lu
-from repro.apps.lu.simulate import block_mm_schedule
+from repro.apps.lu.simulate import block_mm_schedule, lu_schedule
 from repro.apps.mm.simulate import MmSimConfig, mm_schedule, simulate_mm
 from repro.campaign.perturb import PerturbationModel
 from repro.campaign.runner import build_design
@@ -526,7 +526,7 @@ def test_cross_preset_fuzz(preset):
         _fuzz_mm(rng, spec)
     if spec.p >= 2:
         accepted = sum(_fuzz_lu(rng, spec) for _ in range(16))
-        assert accepted >= 8  # most draws reach the LU fast path
+        assert accepted == 16  # every draw reaches the LU fast path
         for _ in range(8):
             _fuzz_block_mm(rng, spec)
 
@@ -548,38 +548,30 @@ def _faulted_cells():
 
 @pytest.mark.parametrize("app, preset", list(_faulted_cells()))
 def test_faulted_fuzz(app, preset):
-    """Seeded campaign draws over the scenario library: fast == DES."""
+    """Seeded campaign draws over the scenario library: fast == DES.
+
+    Every cell, ``lu@rasc`` included, replays fault-free and under every
+    draw; no refusal is allowed.
+    """
     design = build_design(app, preset)
     spec, cfg = design.spec, design.config()
     simulate = simulate_lu if app == "lu" else simulate_fw
-    try:
-        simulate(spec, cfg, design=design.design, fast_path="on")
-        fault_free = True
-    except FastPathUnsupported:
-        fault_free = False
+    assert _fields(simulate(spec, cfg, design=design.design, fast_path="on")) == _fields(
+        simulate(spec, cfg, design=design.design, fast_path="off")
+    )
     model = PerturbationModel()
     rng = random.Random(f"faulted-{app}-{preset}")
-    accepted = draws = 0
     for name in sorted(SCENARIO_BUILDERS):
         if name == "node-failure":
             continue
         for _ in range(2):
-            draws += 1
             scenario = model.sample(rng.randrange(2**31), base=build_scenario(name))
             oracle, fast = FaultInjector(scenario), FaultInjector(scenario)
             ref = simulate(spec, cfg, design=design.design, faults=oracle, fast_path="off")
-            try:
-                res = simulate(spec, cfg, design=design.design, faults=fast, fast_path="on")
-            except FastPathUnsupported as exc:
-                assert exc.reason == "ambiguous-tie", (name, exc)
-                assert fast.injected == [] and fast.system is None
-                continue
-            accepted += 1
+            res = simulate(spec, cfg, design=design.design, faults=fast, fast_path="on")
             assert _fields(res) == _fields(ref), name
             assert fast.injected == oracle.injected, name
             assert oracle.injected  # the draw really perturbed the run
-    if fault_free:
-        assert accepted == draws
 
 
 def _stream(*ops):
@@ -678,3 +670,139 @@ def test_two_events_released_at_once_refuse(xd1):
     assert injector.injected == []
     des.simulate(xd1, eng.design, procs(), faults=injector)  # the DES still takes it
     assert len(injector.injected) == 4
+
+
+# -----------------------------------------------------------------------
+# same-time ties: Replay decides them in the DES's own order
+# -----------------------------------------------------------------------
+
+
+def _lu_both(spec, cfg):
+    """The LU point on the DES and on Replay (``fast_path='on'``)."""
+    des_run = simulate_lu(spec, cfg, fast_path="off")
+    replay_run = simulate_lu(spec, cfg, fast_path="on")
+    assert _fields(replay_run) == _fields(des_run), cfg
+    return replay_run
+
+
+def test_cpu_only_lane_tie_matches_des(xd1):
+    # b_f = 0 (Processor-only): a worker's gemm and its opMS sink request
+    # the CPU lane at one time -- once refused as an ambiguous tie.
+    _lu_both(xd1, LuSimConfig(n=960 * 7, b=960, k=8, b_f=0, l=3, superstripes=1))
+
+
+def test_fpga_only_cross_wave_result_sends_match_des(xd1):
+    # b_f = b (FPGA-only): result sends of workers in different broadcast
+    # waves reach one opMS owner's ingress at one time.
+    _lu_both(xd1, LuSimConfig(n=960 * 6, b=960, k=8, b_f=960, l=1, superstripes=4))
+
+
+def test_rasc_local_part_set_wait_matches_des():
+    # p = 2: the lone worker keeps many opMS parts locally (set, then
+    # wait one hop later) while its sink also wants the CPU lane.
+    rasc = ALL_PRESETS["rasc"]()
+    assert rasc.p == 2
+    for cfg in (
+        LuSimConfig(n=240 * 3, b=240, k=8, b_f=0, l=0, superstripes=1),
+        LuSimConfig(n=240 * 4, b=240, k=8, b_f=120, l=1, superstripes=2),
+    ):
+        _lu_both(rasc, cfg)
+
+
+class _DepthProbe:
+    """Test-only DES probe: logs each resource request as (t, depth, name).
+
+    Runs the simulator's loop with the same selection rule as
+    ``Simulator.run`` while tracking hop depth: calendar events have
+    depth 0 and every zero-delay post is one deeper than the event being
+    processed when it was posted.
+    """
+
+    def __init__(self, monkeypatch):
+        from collections import deque
+
+        from repro.sim import Simulator
+        from repro.sim.resources import Resource
+
+        self.log = []
+        depth = {}
+        cur = [0]
+
+        class _DepthDeque(deque):
+            def append(self, event):
+                depth[id(event)] = cur[0] + 1
+                deque.append(self, event)
+
+        def run(sim, until=None):
+            cur[0] = 0
+            dq = _DepthDeque()
+            for event in sim._dq:  # processes spawned before the run
+                dq.append(event)
+            sim._dq = dq
+            while True:
+                if dq and not (sim._times and sim._times[0] <= sim._now):
+                    event = dq.popleft()
+                    cur[0] = depth.pop(id(event))
+                elif sim._times:
+                    event = sim._pop_bucket()
+                    cur[0] = 0
+                else:
+                    return sim._now
+                event._processed = True
+                callbacks = [event._cb] + (event.callbacks or [])
+                event._cb = event.callbacks = None
+                for fn in callbacks:
+                    if fn is not None:
+                        fn(event)
+
+        request = Resource.request
+        log = self.log
+
+        def logged_request(resource, amount=1):
+            log.append((resource.sim.now, cur[0], resource.name))
+            return request(resource, amount)
+
+        monkeypatch.setattr(Simulator, "run", run)
+        monkeypatch.setattr(Resource, "request", logged_request)
+
+
+def test_replay_request_log_equals_des_probe(xd1, monkeypatch):
+    rasc = ALL_PRESETS["rasc"]()
+    cases = [
+        (xd1, LuSimConfig(n=960 * 7, b=960, k=8, b_f=0, l=3, superstripes=1)),
+        (xd1, LuSimConfig(n=960 * 6, b=960, k=8, b_f=960, l=1, superstripes=4)),
+        (rasc, LuSimConfig(n=240 * 4, b=240, k=8, b_f=120, l=1, superstripes=2)),
+    ]
+    probe = _DepthProbe(monkeypatch)
+    for spec, cfg in cases:
+        design = MatrixMultiplyDesign.for_device(spec.node.fpga.device, k=cfg.k)
+        del probe.log[:]
+        ref = des.simulate(spec, design, lu_schedule(spec, cfg))
+        replay = Replay(spec, design)
+        replay.requests = []
+        run = replay.play(lu_schedule(spec, cfg))
+        assert _run_fields(run) == _run_fields(ref), cfg
+        assert replay.requests == probe.log, cfg
+        # The log holds same-(t, depth) requests of one queue: the ties
+        # the engine once refused.
+        assert len(set(probe.log)) < len(probe.log)
+
+
+def test_replay_request_log_equals_des_probe_under_stalls(xd1, monkeypatch):
+    # At t=0.25 the all-node stall ends, node 2's second stall requests
+    # its channel and every node's CPU hold ends and requests the channel
+    # too: the DES orders them by when each timeout was created.
+    probe = _DepthProbe(monkeypatch)
+    eng = _Engines(xd1)
+    procs = lambda: [(f"n{i}", _stream(eng.cpu(i, 0.25), eng.chan(i, 1.0))) for i in range(xd1.p)]
+    stalls = FaultScenario(
+        "stalls",
+        events=(_stall(0.0, 0.25), _stall(0.25, 0.25, node=2), _stall(0.5, 0.25, node=1)),
+    )
+    oracle, fast = FaultInjector(stalls), FaultInjector(stalls)
+    ref = des.simulate(xd1, eng.design, procs(), faults=oracle)
+    replay = Replay(xd1, eng.design, fast)
+    replay.requests = []
+    assert _run_fields(replay.play(procs())) == _run_fields(ref)
+    assert replay.requests == probe.log
+    assert fast.injected == oracle.injected
